@@ -155,6 +155,17 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
         assignment = parse_solution_file(model, text)
     except FormatError as exc:
         raise BackendProcessError(f"unusable solution file: {exc}") from None
+    check_assignment(model, assignment)
+    return BackendResult(SolveStatus.OPTIMAL, assignment, elapsed)
+
+
+def check_assignment(model: LinearModel, assignment: dict[str, Fraction]) -> None:
+    """Re-check a solver's assignment against the exact model.
+
+    Every row and bound must hold and every binary must be integral, each
+    within TOLERANCE; otherwise BackendValidationError names the worst
+    violations. Used for every solver answer, in process or not.
+    """
     report = model.evaluate(assignment, tol=TOLERANCE)
     if not report.feasible or not report.integral:
         worst = ", ".join(
@@ -166,7 +177,6 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
             f"backend assignment rejected ({kind}"
             + (f": {worst})" if worst else ")")
         )
-    return BackendResult(SolveStatus.OPTIMAL, assignment, elapsed)
 
 
 def extract_vertex_set(

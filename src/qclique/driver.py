@@ -13,7 +13,12 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from .backend import BackendConfig, extract_vertex_set, solve_external
+from .backend import (
+    BackendConfig,
+    check_assignment,
+    extract_vertex_set,
+    solve_external,
+)
 from .formulations import (
     Connectivity,
     Problem,
@@ -109,6 +114,8 @@ def _solve_through_model(
         from .highs import solve_model
 
         status, assignment = solve_model(model, time_limit=limits.time_seconds)
+        if assignment is not None:
+            check_assignment(model, assignment)
     else:
         cfg = engine
         if limits.time_seconds is not None and limits.time_seconds < cfg.time_limit:

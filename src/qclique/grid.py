@@ -217,8 +217,9 @@ def run_grid(
 
     The instance is reduced to its largest connected component before
     solving. Cells already present in the CSV are kept as-is; missing ones
-    are computed in deterministic parameter order and appended. The clock
-    is injectable so tests can pin elapsed values.
+    are computed and appended in deterministic parameter order, each flushed
+    as it lands, so an interrupted sweep keeps every cell written so far.
+    The clock is injectable so tests can pin elapsed values.
     """
     if workers < 1:
         raise GridError(f"worker count must be at least 1, got {workers}")
@@ -233,20 +234,22 @@ def run_grid(
     done = {cell.param for cell in existing}
     pending = [p for p in params if spec.render_param(p) not in done]
 
-    if pending:
-        if workers == 1:
-            fresh = [_solve_cell(core, spec, p, clock) for p in pending]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fresh = list(
-                    pool.map(lambda p: _solve_cell(core, spec, p, clock), pending)
-                )
-        write_header = not path.exists()
-        with path.open("a", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            if write_header:
-                writer.writerow(CSV_COLUMNS)
-            for cell in fresh:
+    if not pending:
+        return aggregate(spec.name, existing)
+
+    def solve(param) -> GridCell:
+        return _solve_cell(core, spec, param, clock)
+
+    write_header = not path.exists() or path.stat().st_size == 0
+    with path.open("a", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        if write_header:
+            writer.writerow(CSV_COLUMNS)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # Both maps yield in parameter order, so a cell reaches the file
+            # as soon as it and every cell before it are done.
+            for cell in (map if workers == 1 else pool.map)(solve, pending):
                 writer.writerow(cell.to_csv())
-        existing = existing + fresh
+                handle.flush()
+                existing.append(cell)
     return aggregate(spec.name, existing)

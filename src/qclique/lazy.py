@@ -19,7 +19,12 @@ import logging
 import time
 from dataclasses import replace
 
-from .backend import BackendConfig, extract_vertex_set, solve_external
+from .backend import (
+    BackendConfig,
+    check_assignment,
+    extract_vertex_set,
+    solve_external,
+)
 from .formulations import ProblemSpec, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
 from .milp import LinearConstraint
@@ -137,6 +142,7 @@ def _solve_inner(
         status, assignment = solve_model(model, time_limit=remaining)
         if assignment is None or status is SolveStatus.INFEASIBLE:
             return status, (), 0
+        check_assignment(model, assignment)
         return status, extract_vertex_set(layout, assignment), 0
     cfg = engine
     if remaining is not None and remaining < cfg.time_limit:

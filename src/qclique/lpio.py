@@ -196,6 +196,17 @@ def mps_document(model: LinearModel) -> ExportDoc:
     for row in model.constraints:
         lines.append(f" {sense_code[row.sense]} {row_names[row.tag]}")
     lines.append("COLUMNS")
+    # One pass over the rows files each entry line under its variable, so
+    # the COLUMNS section costs O(nonzeros) instead of O(variables x rows).
+    columns: dict[str, list[str]] = {var.name: [] for var in model.variables}
+    for var_name, coef in model.objective.items():
+        name = var_names[var_name]
+        columns[var_name].append(f"    {name}  obj  {r.number(coef, name)}")
+    for row in model.constraints:
+        rname = row_names[row.tag]
+        for var_name, coef in row.terms.items():
+            name = var_names[var_name]
+            columns[var_name].append(f"    {name}  {rname}  {r.number(coef, name)}")
     marker = 0
     integer_mode = False
     for var in model.variables:
@@ -205,17 +216,8 @@ def mps_document(model: LinearModel) -> ExportDoc:
             lines.append(f"    MARKER{marker}  'MARKER'  '{state}'")
             marker += 1
             integer_mode = want_integer
-        name = var_names[var.name]
-        entries: list[tuple[str, Fraction]] = []
-        if var.name in model.objective:
-            entries.append(("obj", model.objective[var.name]))
-        for row in model.constraints:
-            if var.name in row.terms:
-                entries.append((row_names[row.tag], row.terms[var.name]))
-        if not entries:
-            entries.append(("obj", Fraction(0)))
-        for rname, coef in entries:
-            lines.append(f"    {name}  {rname}  {r.number(coef, name)}")
+        entries = columns.pop(var.name)
+        lines.extend(entries or [f"    {var_names[var.name]}  obj  0"])
     if integer_mode:
         lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
     lines.append("RHS")
@@ -244,19 +246,26 @@ def export_mps(model: LinearModel) -> str:
     return mps_document(model).text
 
 
-def _parse_number(token: str, where: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"{where}: cannot parse number {token!r}") from None
+class _Numbers(dict):
+    """Token -> Fraction, or None for a token that is no number.
 
+    Each distinct token is converted once; readers keep one per call, since
+    model text repeats a handful of coefficients and every variable name.
+    """
 
-def _is_number(token: str) -> bool:
-    try:
-        Fraction(token)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
+    def __missing__(self, token: str) -> Fraction | None:
+        try:
+            value = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        self[token] = value
+        return value
+
+    def parse(self, token: str, where: str) -> Fraction:
+        value = self[token]
+        if value is None:
+            raise FormatError(f"{where}: cannot parse number {token!r}")
+        return value
 
 
 def _is_infinite(token: str) -> bool:
@@ -274,10 +283,12 @@ class _VarSpec:
         self.bounded = False
 
 
-def _parse_expression(tokens: list[str], where: str) -> dict[str, Fraction]:
+def _parse_expression(
+    tokens: list[str], where: str, numbers: _Numbers
+) -> dict[str, Fraction]:
     """Parse "[sign] [coef] name" sequences into a term map."""
     terms: dict[str, Fraction] = {}
-    sign = Fraction(1)
+    sign = 1
     coef: Fraction | None = None
     for token in tokens:
         if token == "+":
@@ -285,14 +296,15 @@ def _parse_expression(tokens: list[str], where: str) -> dict[str, Fraction]:
         if token == "-":
             sign = -sign
             continue
-        if _is_number(token):
+        number = numbers[token]
+        if number is not None:
             if coef is not None:
                 raise FormatError(f"{where}: two consecutive numbers near {token!r}")
-            coef = _parse_number(token, where)
+            coef = number
             continue
-        value = sign * (Fraction(1) if coef is None else coef)
-        terms[token] = terms.get(token, Fraction(0)) + value
-        sign = Fraction(1)
+        value = sign if coef is None else sign * coef
+        terms[token] = terms.get(token, 0) + value
+        sign = 1
         coef = None
     if coef is not None:
         raise FormatError(f"{where}: trailing number without variable")
@@ -322,6 +334,7 @@ _LP_SECTIONS = {
 
 def parse_lp(text: str) -> LinearModel:
     """Parse LP text produced by export_lp (plus mild dialect slack)."""
+    numbers = _Numbers()
     metadata: dict[str, str] = {}
     section_lines: dict[str, list[str]] = {
         "objective": [],
@@ -361,7 +374,7 @@ def parse_lp(text: str) -> LinearModel:
         if cut != 1:
             raise FormatError("objective: malformed name prefix")
         obj_tokens = obj_tokens[cut + 1 :]
-    objective = _parse_expression(obj_tokens, "objective")
+    objective = _parse_expression(obj_tokens, "objective", numbers)
 
     rows: list[tuple[str, dict[str, Fraction], str, Fraction]] = []
     row_tokens = " ".join(section_lines["rows"]).replace(":", " : ").split()
@@ -380,9 +393,9 @@ def parse_lp(text: str) -> LinearModel:
         if i >= len(row_tokens) - 1:
             raise FormatError("rows: missing sense or right-hand side")
         sense = {"<": "<=", ">": ">="}.get(row_tokens[i], row_tokens[i])
-        rhs = _parse_number(row_tokens[i + 1], f"row {name or row_count} rhs")
+        rhs = numbers.parse(row_tokens[i + 1], f"row {name or row_count} rhs")
         terms = _parse_expression(
-            row_tokens[start:i], f"row {name or row_count}"
+            row_tokens[start:i], f"row {name or row_count}", numbers
         )
         if name is None:
             name = f"r{row_count}"
@@ -393,7 +406,7 @@ def parse_lp(text: str) -> LinearModel:
     specs: dict[str, _VarSpec] = {}
 
     def seen(name: str) -> _VarSpec:
-        if _is_number(name) or name in ("<=", ">=", "=", ":"):
+        if numbers[name] is not None or name in ("<=", ">=", "=", ":"):
             raise FormatError(f"invalid variable name {name!r}")
         if name not in specs:
             specs[name] = _VarSpec()
@@ -415,10 +428,10 @@ def parse_lp(text: str) -> LinearModel:
             spec.bounded = True
         elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
             spec = seen(tokens[2])
-            spec.lower = None if _is_infinite(tokens[0]) else _parse_number(
+            spec.lower = None if _is_infinite(tokens[0]) else numbers.parse(
                 tokens[0], "bounds"
             )
-            spec.upper = None if _is_infinite(tokens[4]) else _parse_number(
+            spec.upper = None if _is_infinite(tokens[4]) else numbers.parse(
                 tokens[4], "bounds"
             )
             spec.bounded = True
@@ -427,7 +440,7 @@ def parse_lp(text: str) -> LinearModel:
             if _is_infinite(tokens[2]):
                 value = None
             else:
-                value = _parse_number(tokens[2], "bounds")
+                value = numbers.parse(tokens[2], "bounds")
             if tokens[1] == "<=":
                 spec.upper = value
             elif tokens[1] == ">=":
@@ -459,6 +472,7 @@ def parse_lp(text: str) -> LinearModel:
 
 def parse_mps(text: str) -> LinearModel:
     """Parse free MPS text produced by export_mps (plus mild dialect slack)."""
+    numbers = _Numbers()
     metadata: dict[str, str] = {}
     section = None
     obj_row: str | None = None
@@ -538,7 +552,7 @@ def parse_mps(text: str) -> LinearModel:
             spec = spec_for(var)
             spec.integer = spec.integer or integer_mode
             for pos in range(1, len(tokens), 2):
-                row, value = tokens[pos], _parse_number(
+                row, value = tokens[pos], numbers.parse(
                     tokens[pos + 1], f"line {lineno}"
                 )
                 if row == obj_row:
@@ -554,7 +568,7 @@ def parse_mps(text: str) -> LinearModel:
         elif section == "rhs":
             pairs = tokens[1:] if len(tokens) % 2 == 1 else tokens
             for pos in range(0, len(pairs), 2):
-                row, value = pairs[pos], _parse_number(
+                row, value = pairs[pos], numbers.parse(
                     pairs[pos + 1], f"line {lineno}"
                 )
                 if row == obj_row:
@@ -569,7 +583,7 @@ def parse_mps(text: str) -> LinearModel:
             var = tokens[2]
             spec = spec_for(var)
             value = (
-                _parse_number(tokens[3], f"line {lineno}")
+                numbers.parse(tokens[3], f"line {lineno}")
                 if len(tokens) > 3
                 else None
             )
@@ -643,6 +657,7 @@ def parse_solution_file(model: LinearModel, text: str) -> dict[str, Fraction]:
         accepted[var.name] = var.name
         accepted.setdefault(sanitize_name(var.name, "v_"), var.name)
     values: dict[str, Fraction] = {v.name: Fraction(0) for v in model.variables}
+    numbers = _Numbers()
     listed: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -660,5 +675,5 @@ def parse_solution_file(model: LinearModel, text: str) -> dict[str, Fraction]:
         if target in listed:
             raise FormatError(f"line {lineno}: duplicate value for {name!r}")
         listed.add(target)
-        values[target] = _parse_number(value, f"line {lineno}")
+        values[target] = numbers.parse(value, f"line {lineno}")
     return values

@@ -26,6 +26,8 @@ Number = Rational  # ints and Fractions; floats are refused
 
 
 def _rational(value, what: str) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ModelError(
             f"{what} is a float ({value!r}); pass a Fraction or int for exactness"
@@ -218,9 +220,18 @@ class LinearModel:
                 violations.append((f"bound:{var.name}", var.lower - v))
             if var.upper is not None and v > var.upper + tol_q:
                 violations.append((f"bound:{var.name}", v - var.upper))
+        # Zero-valued terms add nothing to a row sum, and in a solver's
+        # answer most variables are zero.
+        nonzero = {name: v for name, v in values.items() if v}
         for row in self.constraints:
-            lhs = sum((coef * values[name] for name, coef in row.terms.items()),
-                      Fraction(0))
+            lhs = sum(
+                (
+                    coef * nonzero[name]
+                    for name, coef in row.terms.items()
+                    if name in nonzero
+                ),
+                Fraction(0),
+            )
             if row.sense == "<=":
                 excess = lhs - row.rhs
             elif row.sense == ">=":

@@ -17,7 +17,7 @@ import math
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -161,19 +161,7 @@ def brute_force(g: Graph, spec: ProblemSpec) -> Solution:
                 f"C({g.n}, {spec.k}) exceeds the enumeration budget of 10**7"
             )
         solution = _brute_fixed(g, spec)
-    return _with_elapsed(solution, time.monotonic() - start)
-
-
-def _with_elapsed(solution: Solution, elapsed: float) -> Solution:
-    return Solution(
-        vertices=solution.vertices,
-        objective=solution.objective,
-        status=solution.status,
-        certificate=solution.certificate,
-        elapsed=elapsed,
-        nodes_explored=solution.nodes_explored,
-        cut_rounds=solution.cut_rounds,
-    )
+    return replace(solution, elapsed=time.monotonic() - start)
 
 
 def _brute_threshold(g: Graph, spec: ProblemSpec) -> Solution:
@@ -325,7 +313,7 @@ def branch_and_bound(
     budget = _Budget(limits)
     runner = _bnb_threshold if spec.problem is Problem.MQC else _bnb_fixed
     solution = runner(g, spec, budget)
-    return _with_elapsed(solution, budget.elapsed())
+    return replace(solution, elapsed=budget.elapsed())
 
 
 def _bnb_threshold(g: Graph, spec: ProblemSpec, budget: _Budget) -> Solution:

@@ -30,6 +30,18 @@ def graphs(draw, min_n: int = 0, max_n: int = 8) -> Graph:
     return Graph.build(n, chosen)
 
 
+@pytest.fixture(autouse=True, scope="session")
+def solver_children_import_this_tree():
+    """Let `python -m qclique.highs` children import the package under test,
+    as the test process does through the pytest pythonpath setting."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    with pytest.MonkeyPatch.context() as patch:
+        if src not in paths:
+            patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, *paths])))
+        yield
+
+
 @pytest.fixture
 def triangle() -> Graph:
     return Graph.build(3, [(0, 1), (0, 2), (1, 2)])

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclique.backend import BackendConfig
+from qclique.backend import TOLERANCE, BackendConfig, BackendValidationError
 from qclique.driver import build_problem_model, solve_problem
 from qclique.formulations import Connectivity, ProblemSpec
 from qclique.graphs import Graph, induced_edge_count, is_connected
+from qclique.milp import Evaluation, LinearModel
 from qclique.solve import Limits, SolveError, SolveStatus, brute_force
 
 from conftest import graphs
@@ -131,3 +132,31 @@ class TestSolveProblem:
         assert routed.objective == exact.objective
         if routed.status is SolveStatus.OPTIMAL:
             assert induced_edge_count(g, routed.vertices) == routed.objective
+
+
+class TestAnswerGate:
+    """In-process HiGHS answers pass the same exact check as external ones."""
+
+    @pytest.mark.parametrize(
+        "spec, honest_calls",
+        [
+            (ProblemSpec.mqc(Fraction(3, 7), mode=Connectivity.CSTREE), 0),
+            # The first lazy round is disconnected and adds cuts; the forged
+            # report hits the second round's answer.
+            (ProblemSpec.dks(8, mode=Connectivity.LAZY), 1),
+        ],
+    )
+    def test_rejected_evaluation_raises(self, two_k4s, monkeypatch, spec, honest_calls):
+        real = LinearModel.evaluate
+        tolerances = []
+
+        def evaluate(self, assignment, tol=0):
+            tolerances.append(tol)
+            if len(tolerances) <= honest_calls:
+                return real(self, assignment, tol)
+            return Evaluation(Fraction(0), False, True, (("forged", Fraction(1)),))
+
+        monkeypatch.setattr(LinearModel, "evaluate", evaluate)
+        with pytest.raises(BackendValidationError, match="forged"):
+            solve_problem(two_k4s, spec, engine="milp")
+        assert tolerances == [TOLERANCE] * (honest_calls + 1)

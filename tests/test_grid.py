@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qclique import grid
 from qclique.backend import BackendConfig
 from qclique.formulations import Connectivity, Problem
 from qclique.graphs import Graph
@@ -152,6 +153,30 @@ class TestRunGrid:
         resumed_row = run_grid(two_k4s, spec, resumed_path, clock=FakeClock())
         assert resumed_path.read_bytes() == full_bytes
         assert resumed_row == full_row
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_interrupted_sweep_keeps_finished_cells(
+        self, tmp_path, two_k4s, monkeypatch, workers
+    ):
+        spec = GridSpec(name="blocks", family=Problem.DKS)
+        fresh_path = tmp_path / "fresh.csv"
+        run_grid(two_k4s, spec, fresh_path, clock=FakeClock())
+        solve = grid.solve_problem
+
+        def interrupted(g, cell, engine, limits):
+            if cell.k == 6:  # the fifth cell of k = 2 .. 10
+                raise KeyboardInterrupt
+            return solve(g, cell, engine, limits)
+
+        monkeypatch.setattr(grid, "solve_problem", interrupted)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(two_k4s, spec, path, workers=workers, clock=FakeClock())
+        assert [cell.param for cell in read_cells(path)] == ["2", "3", "4", "5"]
+
+        monkeypatch.setattr(grid, "solve_problem", solve)
+        run_grid(two_k4s, spec, path, workers=workers, clock=FakeClock())
+        assert path.read_bytes() == fresh_path.read_bytes()
 
     def test_completed_grid_recomputes_nothing(self, tmp_path, triangle):
         target = tmp_path / "grid.csv"

@@ -276,13 +276,28 @@ def exact_fractions(draw, lo=-6, hi=6):
 
 
 @st.composite
-def models(draw):
+def any_fractions(draw):
+    """Coefficients that include non-terminating decimals such as 1/3."""
+    return Fraction(
+        draw(st.integers(-24, 24)), draw(st.sampled_from([1, 2, 3, 6, 7, 10]))
+    )
+
+
+@st.composite
+def models(draw, coefficients=exact_fractions(), isolated=False):
+    """Random models; isolated=True adds a variable in no row and not in
+    the objective, and one that appears only in the objective, each at a
+    random place in the column order."""
     count = draw(st.integers(1, 5))
     names = [f"{draw(st.sampled_from('vwxyz'))}_{i}" for i in range(count)]
     model = LinearModel(
         metadata={"case": "prop"} if draw(st.booleans()) else None
     )
-    for name in names:
+    order = list(names)
+    if isolated:
+        for extra in ("lone", "goal"):
+            order.insert(draw(st.integers(0, len(order))), extra)
+    for name in order:
         if draw(st.booleans()):
             if draw(st.integers(0, 9)) == 0:
                 model.add_variable(name, BINARY, 1, 1)
@@ -294,15 +309,18 @@ def models(draw):
             if lower is not None and upper is not None and lower > upper:
                 lower, upper = upper, lower
             model.add_variable(name, CONTINUOUS, lower, upper)
-    model.set_objective(
-        draw(st.dictionaries(st.sampled_from(names), exact_fractions(), max_size=count))
+    objective = draw(
+        st.dictionaries(st.sampled_from(names), coefficients, max_size=count)
     )
+    if isolated:
+        objective["goal"] = draw(coefficients.filter(bool))
+    model.set_objective(objective)
     for index in range(draw(st.integers(0, 4))):
         terms = draw(
-            st.dictionaries(st.sampled_from(names), exact_fractions(), max_size=count)
+            st.dictionaries(st.sampled_from(names), coefficients, max_size=count)
         )
         sense = draw(st.sampled_from(["<=", ">=", "="]))
-        model.add_constraint(terms, sense, draw(exact_fractions()), f"Eq{index}:t")
+        model.add_constraint(terms, sense, draw(coefficients), f"Eq{index}:t")
     return model.freeze()
 
 
@@ -351,6 +369,78 @@ class TestRoundTrip:
             assert_equivalent(model, parser(document.text), document)
 
 
+class TestMpsColumns:
+    """The column-indexed writer against the plain column-major scan."""
+
+    @given(models(coefficients=any_fractions(), isolated=True))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_column_major_reference(self, model):
+        doc = mps_document(model)
+        text, warnings = reference_mps(model)
+        assert doc.text == text
+        # The writer renders COLUMNS row by row, so only the order differs.
+        assert sorted(doc.warnings) == sorted(warnings)
+
+
+def reference_mps(model: LinearModel) -> tuple[str, list[str]]:
+    """MPS text and warnings by the plain column-major scan: every row is
+    searched for every column."""
+    doc = lp_document(model)
+    var_names, row_names = doc.var_names, doc.row_names
+    warnings = []
+
+    def number(q: Fraction, where: str) -> str:
+        text, exact = format_rational(q)
+        if not exact:
+            warnings.append(
+                f"{where}: {q} rendered inexactly as {text} (17 significant digits)"
+            )
+        return text
+
+    lines = ["* linear model"]
+    lines += [f"* meta {key}={value}" for key, value in model.metadata.items()]
+    lines += ["NAME model", "OBJSENSE", "    MAX", "ROWS", " N obj"]
+    codes = {"<=": "L", ">=": "G", "=": "E"}
+    lines += [f" {codes[r.sense]} {row_names[r.tag]}" for r in model.constraints]
+    lines.append("COLUMNS")
+    marker, integer_mode = 0, False
+    for var in model.variables:
+        if (var.kind == BINARY) != integer_mode:
+            integer_mode = not integer_mode
+            state = "INTORG" if integer_mode else "INTEND"
+            lines.append(f"    MARKER{marker}  'MARKER'  '{state}'")
+            marker += 1
+        name = var_names[var.name]
+        entries = []
+        if var.name in model.objective:
+            entries.append(("obj", model.objective[var.name]))
+        for row in model.constraints:
+            if var.name in row.terms:
+                entries.append((row_names[row.tag], row.terms[var.name]))
+        for rname, coef in entries or [("obj", Fraction(0))]:
+            lines.append(f"    {name}  {rname}  {number(coef, name)}")
+    if integer_mode:
+        lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
+    lines.append("RHS")
+    for row in model.constraints:
+        rname = row_names[row.tag]
+        lines.append(f"    RHS  {rname}  {number(row.rhs, f'rhs of {rname}')}")
+    lines.append("BOUNDS")
+    for var in model.variables:
+        name = var_names[var.name]
+        if var.lower is None and var.upper is None:
+            lines.append(f" FR BND {name}")
+            continue
+        if var.lower is None:
+            lines.append(f" MI BND {name}")
+        else:
+            lines.append(f" LO BND {name} {number(var.lower, name)}")
+        if var.upper is not None:
+            lines.append(f" UP BND {name} {number(var.upper, name)}")
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n", warnings
+
+
 def _identity_doc(model: LinearModel) -> ExportDoc:
     names = {v.name: v.name for v in model.variables}
     rows = {r.tag: r.tag for r in model.constraints}
@@ -397,6 +487,37 @@ class TestParseLpDialect:
         with pytest.raises(FormatError, match="sense or right-hand"):
             parse_lp("Maximize\n obj: x\nSubject To\n c: x <=\nEnd\n")
 
+    @pytest.mark.parametrize(
+        "objective, rows, bounds, message",
+        [
+            ("x", " c: x <= 1/0", "", "row c rhs: cannot parse number '1/0'"),
+            ("x", " c: x <= abc", "", "row c rhs: cannot parse number 'abc'"),
+            ("x + 3", " c: x <= 1", "", "objective: trailing number"),
+            ("x", " c: x + 3 <= 1", "", "row c: trailing number"),
+            ("3 3 x", " c: x <= 1", "", "two consecutive numbers near '3'"),
+            ("x", " c: x <= 1", " x <= 1/0\n", "bounds: cannot parse number '1/0'"),
+            ("x", " c: x <= 1", " x <= abc\n", "bounds: cannot parse number 'abc'"),
+            # The same bad token twice: the second use must fail as well,
+            # also after the token was first read as a variable name.
+            ("x", " c1: x <= abc\n c2: x <= abc", "", "row c1 rhs"),
+            ("x", " c1: abc <= 1\n c2: x <= abc", "", "row c2 rhs: .*'abc'"),
+            ("x", " c1: 1/0 <= 1\n c2: x <= 1/0", "", "row c2 rhs: .*'1/0'"),
+            ("x + 3", " c: x + 3 <= 1", "", "objective: trailing number"),
+            ("x", " c: x <= 1", " x <= abc\n y <= abc\n", "bounds: .*'abc'"),
+        ],
+    )
+    def test_bad_numbers_rejected(self, objective, rows, bounds, message):
+        text = f"Maximize\n obj: {objective}\nSubject To\n{rows}\n"
+        if bounds:
+            text += f"Bounds\n{bounds}"
+        with pytest.raises(FormatError, match=message):
+            parse_lp(text + "End\n")
+
+    def test_number_is_no_variable_name(self):
+        text = "Maximize\n obj: x\nSubject To\n c: x <= 3\nBinaries\n 3\nEnd\n"
+        with pytest.raises(FormatError, match="invalid variable name '3'"):
+            parse_lp(text)
+
 
 class TestParseMpsDialect:
     def test_missing_objsense_rejected(self):
@@ -428,6 +549,27 @@ class TestParseMpsDialect:
             "ENDATA\n"
         )
         with pytest.raises(FormatError, match="general integers not supported"):
+            parse_mps(text)
+
+    @pytest.mark.parametrize(
+        "columns, rhs, message",
+        [
+            ("    x  obj  1/0", "    RHS  c  1", "line 8: cannot parse number '1/0'"),
+            ("    x  obj  abc", "    RHS  c  1", "line 8: cannot parse number 'abc'"),
+            ("    x  obj  1  2", "    RHS  c  1", "line 8: malformed column entry"),
+            ("    x  c  1", "    RHS  c  1/0", "line 10: cannot parse number '1/0'"),
+            ("    x  c  1", "    RHS  c  abc", "line 10: cannot parse number 'abc'"),
+            ("    x  obj  abc\n    y  obj  abc", "    RHS  c  1", "line 8: .*'abc'"),
+            ("    x  c  1", "    RHS  c  1/0  c  1/0", "line 10: .*'1/0'"),
+            ("    1/0  c  1", "    RHS  c  1/0", "line 10: .*'1/0'"),
+        ],
+    )
+    def test_bad_numbers_rejected(self, columns, rhs, message):
+        text = (
+            "NAME m\nOBJSENSE\n    MAX\nROWS\n N obj\n L c\n"
+            f"COLUMNS\n{columns}\nRHS\n{rhs}\nENDATA\n"
+        )
+        with pytest.raises(FormatError, match=message):
             parse_mps(text)
 
     def test_bv_bound_makes_binary(self):
