@@ -110,10 +110,11 @@ def _solve_through_model(
 ) -> Solution:
     start = time.monotonic()
     model, layout = build_problem_model(g, spec)
+    nodes = 0
     if engine == "milp":
         from .highs import solve_model
 
-        status, assignment = solve_model(model, time_limit=limits.time_seconds)
+        status, assignment, nodes = solve_model(model, time_limit=limits.time_seconds)
         if assignment is not None:
             check_assignment(model, assignment)
     else:
@@ -124,10 +125,10 @@ def _solve_through_model(
         status, assignment = result.status, result.assignment
     elapsed = time.monotonic() - start
     if assignment is None or status is SolveStatus.INFEASIBLE:
-        return Solution((), 0, status, elapsed=elapsed)
+        return Solution((), 0, status, elapsed=elapsed, nodes_explored=nodes)
     vertices = extract_vertex_set(layout, assignment)
     if spec.problem is Problem.MQC:
         objective = len(vertices)
     else:
         objective = induced_edge_count(g, vertices)
-    return Solution(vertices, objective, status, elapsed=elapsed)
+    return Solution(vertices, objective, status, elapsed=elapsed, nodes_explored=nodes)

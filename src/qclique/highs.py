@@ -54,13 +54,14 @@ def _row_floats(row: LinearConstraint) -> tuple[dict[str, float], float]:
 
 def solve_model(
     model: LinearModel, time_limit: float | None = None
-) -> tuple[SolveStatus, dict[str, Fraction] | None]:
-    """Run HiGHS on the model; return its status and raw assignment.
+) -> tuple[SolveStatus, dict[str, Fraction] | None, int]:
+    """Run HiGHS on the model; return its status, raw assignment and nodes.
 
     The assignment maps every model variable to the exact Fraction of the
     float HiGHS reported (so validation downstream stays rational); it is
     None when the engine produced no point, as with infeasibility or a
-    limit hit before the first incumbent.
+    limit hit before the first incumbent. nodes is the engine's branch-and-
+    bound node count (0 when it reports none, as when presolve decides).
     """
     if not model.variables:
         raise HighsError("model has no variables")
@@ -116,13 +117,14 @@ def solve_model(
         status = SolveStatus.INFEASIBLE
     else:
         raise HighsError(f"engine failure: {result.message}")
+    nodes = int(result.mip_node_count or 0)
     if result.x is None:
-        return status, None
+        return status, None, nodes
     assignment = {
         var.name: Fraction(float(value))
         for var, value in zip(model.variables, result.x)
     }
-    return status, assignment
+    return status, assignment, nodes
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         model = parse_mps(text)
     else:
         model = parse_lp(text)
-    status, assignment = solve_model(model, time_limit=args.timelimit)
+    status, assignment, _ = solve_model(model, time_limit=args.timelimit)
 
     if status is SolveStatus.INFEASIBLE:
         payload = "INFEASIBLE\n"

@@ -7,10 +7,10 @@ neighbor) and re-solves with the accumulated pool. A disconnected answer
 always violates at least one of its own cuts, so every round strictly
 shrinks the candidate space and the loop terminates.
 
-Three interchangeable inner optimizers are supported: "bnb" enumerates
-subsets directly while honoring the pooled cuts, "milp" solves the built
-model with the bundled HiGHS engine, and a BackendConfig routes the model
-to an external solver process.
+Three interchangeable inner optimizers are supported: "bnb" runs the
+shared branch-and-bound search with the pooled cuts as an extra prune,
+"milp" solves the built model with the bundled HiGHS engine, and a
+BackendConfig routes the model to an external solver process.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .solve import (
     SolveError,
     SolveStatus,
     _Budget,
-    _LimitHit,
-    _mask_members,
-    _static_order,
+    search,
 )
 
 logger = logging.getLogger(__name__)
@@ -129,21 +127,24 @@ def _solve_inner(
 ) -> tuple[SolveStatus, tuple[int, ...], int]:
     """One full solve of the edge-count model plus pooled cuts."""
     if engine == "bnb":
-        inner_limits = Limits(
-            time_seconds=remaining, memory_bytes=limits.memory_bytes
+        budget = _Budget(
+            Limits(time_seconds=remaining, memory_bytes=limits.memory_bytes)
         )
-        return _search_with_cuts(g, k, pool.values(), inner_limits)
+        found = search(
+            g, ProblemSpec.dks(k), budget, (-1, None), _compile_cuts(pool.values())
+        )
+        return found.status, found.vertices, found.nodes_explored
     model, layout = build_m1(g, k)
     for cut in pool.values():
         model.add_constraint(cut.terms, cut.sense, cut.rhs, tag=cut.tag)
     if engine == "milp":
         from .highs import solve_model
 
-        status, assignment = solve_model(model, time_limit=remaining)
+        status, assignment, nodes = solve_model(model, time_limit=remaining)
         if assignment is None or status is SolveStatus.INFEASIBLE:
-            return status, (), 0
+            return status, (), nodes
         check_assignment(model, assignment)
-        return status, extract_vertex_set(layout, assignment), 0
+        return status, extract_vertex_set(layout, assignment), nodes
     cfg = engine
     if remaining is not None and remaining < cfg.time_limit:
         cfg = replace(cfg, time_limit=remaining)
@@ -153,9 +154,7 @@ def _solve_inner(
     return result.status, extract_vertex_set(layout, result.assignment), 0
 
 
-def _compile_cuts(
-    g: Graph, pool
-) -> list[tuple[int, int]]:
+def _compile_cuts(pool) -> list[tuple[int, int]]:
     """Each cut as (fragment vertex, neighborhood mask) for mask checks."""
     compiled = []
     for cut in pool:
@@ -171,71 +170,3 @@ def _compile_cuts(
             raise AssertionError(f"cut {cut.tag} has no fragment vertex")
         compiled.append((fragment_vertex, neighborhood))
     return compiled
-
-
-def _search_with_cuts(
-    g: Graph, k: int, pool, limits: Limits
-) -> tuple[SolveStatus, tuple[int, ...], int]:
-    """Enumeration over k-subsets that honors the pooled cuts exactly."""
-    budget = _Budget(limits)
-    masks = g.masks
-    order = _static_order(g)
-    cuts = _compile_cuts(g, pool)
-    best_edges = -1
-    best: tuple[int, ...] | None = None
-    nodes = 0
-    stack: list[tuple[int, int, int]] = [(0, (1 << g.n) - 1, 0)]
-    status = SolveStatus.OPTIMAL
-    try:
-        while stack:
-            chosen, candidates, edges = stack.pop()
-            nodes += 1
-            budget.tick()
-            reachable = chosen | candidates
-            if any(
-                chosen >> j & 1 and not reachable & neighborhood
-                for j, neighborhood in cuts
-            ):
-                continue
-            size = chosen.bit_count()
-            if size == k:
-                if edges > best_edges and all(
-                    not chosen >> j & 1 or chosen & neighborhood
-                    for j, neighborhood in cuts
-                ):
-                    best_edges, best = edges, _mask_members(chosen)
-                continue
-            if size + candidates.bit_count() < k:
-                continue
-            region = chosen | candidates
-            weights = sorted(
-                (
-                    (masks[v] & region).bit_count()
-                    for v in _mask_members(candidates)
-                ),
-                reverse=True,
-            )
-            bound = min(
-                edges + sum(weights[: k - size]),
-                k * (k - 1) // 2 - (size * (size - 1) // 2 - edges),
-            )
-            if bound <= best_edges:
-                continue
-            vertex = next(v for v in order if candidates >> v & 1)
-            bit = 1 << vertex
-            stack.append((chosen, candidates ^ bit, edges))
-            stack.append(
-                (
-                    chosen | bit,
-                    candidates ^ bit,
-                    edges + (masks[vertex] & chosen).bit_count(),
-                )
-            )
-    except _LimitHit as hit:
-        status = hit.status
-    if best is None:
-        terminal = (
-            SolveStatus.INFEASIBLE if status is SolveStatus.OPTIMAL else status
-        )
-        return terminal, (), nodes
-    return status, best, nodes

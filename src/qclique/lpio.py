@@ -286,26 +286,39 @@ class _VarSpec:
 def _parse_expression(
     tokens: list[str], where: str, numbers: _Numbers
 ) -> dict[str, Fraction]:
-    """Parse "[sign] [coef] name" sequences into a term map."""
+    """Parse "[sign] [coef] name" sequences into a term map.
+
+    Every term after the first must follow a + or - sign, and a name may not
+    start with a digit or a period, so malformed numbers such as 1/0 are
+    rejected rather than read as variable names.
+    """
     terms: dict[str, Fraction] = {}
     sign = 1
     coef: Fraction | None = None
+    signed = True
     for token in tokens:
         if token == "+":
+            signed = True
             continue
         if token == "-":
             sign = -sign
+            signed = True
             continue
+        if not signed:
+            raise FormatError(f"{where}: missing + or - before {token!r}")
         number = numbers[token]
         if number is not None:
             if coef is not None:
                 raise FormatError(f"{where}: two consecutive numbers near {token!r}")
             coef = number
             continue
+        if token[0].isdigit() or token[0] == ".":
+            raise FormatError(f"{where}: cannot parse number {token!r}")
         value = sign if coef is None else sign * coef
         terms[token] = terms.get(token, 0) + value
         sign = 1
         coef = None
+        signed = False
     if coef is not None:
         raise FormatError(f"{where}: trailing number without variable")
     return {name: value for name, value in terms.items() if value != 0}

@@ -4,7 +4,8 @@ brute_force is the oracle: it enumerates subsets outright and is intended for
 desk-scale validation only. branch_and_bound handles the same four problems
 (size maximization at a density threshold, edge maximization at a fixed size,
 and their connected variants) with admissible pruning, and must agree with
-the oracle wherever the oracle can run.
+the oracle wherever the oracle can run. Its depth-first loop, search, is the
+only one in the package: the cut-separation loop runs it too.
 
 Both work in exact integer/rational arithmetic; density thresholds are
 compared by cross-multiplication, never through floats.
@@ -14,15 +15,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import resource
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
 from .formulations import Certificate, Problem, ProblemSpec
-from .graphs import Graph, boundary_neighbors, induced_edge_count, is_connected
+from .graphs import Graph, induced_edge_count, is_connected
 
 
 class SolveError(ValueError):
@@ -107,12 +110,25 @@ class _Budget:
             and self.elapsed() > self.limits.time_seconds
         ):
             raise _LimitHit(SolveStatus.TIME_LIMIT)
-        if self.limits.memory_bytes is not None:
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            if sys.platform != "darwin":
-                peak *= 1024
-            if peak > self.limits.memory_bytes:
-                raise _LimitHit(SolveStatus.MEMORY_LIMIT)
+        if (
+            self.limits.memory_bytes is not None
+            and _resident_bytes() > self.limits.memory_bytes
+        ):
+            raise _LimitHit(SolveStatus.MEMORY_LIMIT)
+
+
+def _resident_bytes() -> int:
+    """The process's resident set now, read from /proc/self/statm.
+
+    Where that file does not exist, falls back to the process-lifetime peak
+    (ru_maxrss), which never falls after a heavy earlier solve.
+    """
+    try:
+        with open("/proc/self/statm", "rb") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak if sys.platform == "darwin" else peak * 1024
 
 
 def _mask_members(mask: int) -> tuple[int, ...]:
@@ -227,34 +243,39 @@ def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
     """
     if g.n == 0:
         return []
+    masks = g.masks
     start = max(range(g.n), key=lambda v: (g.degree(v), -v))
     chosen = [start]
-    inside = {start}
-    while len(chosen) < g.n:
-        if connected:
-            pool = boundary_neighbors(g, chosen)
-        else:
-            pool = [v for v in range(g.n) if v not in inside]
+    inside = 1 << start
+    reach = masks[start]
+    outside = ((1 << g.n) - 1) ^ inside
+    while outside:
+        pool = outside & reach if connected else outside
         if not pool:
             break
-        def gain(v: int) -> tuple[int, int]:
-            return (sum(1 for w in g.neighbors[v] if w in inside), -v)
-
-        nxt = max(pool, key=gain)
+        nxt = max(
+            _mask_members(pool),
+            key=lambda v: ((masks[v] & inside).bit_count(), -v),
+        )
         chosen.append(nxt)
-        inside.add(nxt)
+        inside |= 1 << nxt
+        reach |= masks[nxt]
+        outside ^= 1 << nxt
     return chosen
 
 
-def _peeling_sequence(g: Graph) -> list[tuple[int, ...]]:
-    """Sets obtained by repeatedly removing a minimum-degree vertex."""
+def _peeling_sequence(g: Graph) -> list[tuple[tuple[int, ...], int]]:
+    """Sets, with their induced edge counts, obtained by repeatedly removing
+    a minimum-degree vertex."""
     alive = set(range(g.n))
     degrees = {v: g.degree(v) for v in alive}
+    edges = g.m
     states = []
     while alive:
-        states.append(tuple(sorted(alive)))
+        states.append((tuple(sorted(alive)), edges))
         victim = min(alive, key=lambda v: (degrees[v], v))
         alive.remove(victim)
+        edges -= degrees[victim]
         for w in g.neighbors[victim]:
             if w in alive:
                 degrees[w] -= 1
@@ -265,25 +286,26 @@ def _warm_threshold(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
     gamma = spec.gamma
     best_size, best = 0, ()
 
-    def offer(members: tuple[int, ...]) -> None:
+    def offer(members: tuple[int, ...], edges: int) -> None:
         nonlocal best_size, best
-        if len(members) <= best_size:
-            return
-        edges = induced_edge_count(g, members)
         if not meets_density(edges, len(members), gamma):
             return
         if spec.connected and not is_connected(g, members):
             return
-        best_size, best = len(members), tuple(sorted(members))
+        best_size, best = len(members), members
 
-    sequence = _greedy_sequence(g, spec.connected)
-    for cut in range(1, len(sequence) + 1):
-        offer(tuple(sorted(sequence[:cut])))
+    prefix, edges = 0, 0
+    for v in _greedy_sequence(g, spec.connected):
+        edges += (g.masks[v] & prefix).bit_count()
+        prefix |= 1 << v
+        if prefix.bit_count() > best_size:
+            offer(_mask_members(prefix), edges)
     # Density is preserved under minimum-degree peeling only from gamma 1/2
     # up, so the peeling states are offered as seeds just in that regime.
     if gamma >= Fraction(1, 2):
-        for members in _peeling_sequence(g):
-            offer(members)
+        for members, edges in _peeling_sequence(g):
+            if len(members) > best_size:
+                offer(members, edges)
     return best_size, best
 
 
@@ -311,43 +333,116 @@ def branch_and_bound(
     """
     spec.validate_for(g)
     budget = _Budget(limits)
-    runner = _bnb_threshold if spec.problem is Problem.MQC else _bnb_fixed
-    solution = runner(g, spec, budget)
+    warm = _warm_threshold if spec.problem is Problem.MQC else _warm_fixed
+    solution = search(g, spec, budget, warm(g, spec))
     return replace(solution, elapsed=budget.elapsed())
 
 
-def _bnb_threshold(g: Graph, spec: ProblemSpec, budget: _Budget) -> Solution:
-    gamma = spec.gamma
+def completion_bounds(
+    masks: tuple[int, ...], chosen: int, pool: int, edges: int
+) -> list[int]:
+    """Upper bounds on the induced edges of chosen plus `take` pool vertices.
+
+    Entry `take` bounds every completion by `take` vertices of the pool.
+    With a_v = |N(v) & chosen| and b_v = |N(v) & pool|, a completion T adds
+    e(chosen, T) + e(T) = (1/2) * sum over T of (2 a_v + |N(v) & T|) edges,
+    so half the sum of the `take` largest weights 2 a_v + b_v bounds it: each
+    pool-pool edge is counted once, not twice. The bound is also capped by
+    all pairs at the target size minus the pairs already missing in chosen.
+    """
+    size = chosen.bit_count()
+    region = chosen | pool
+    weights = sorted(
+        [
+            (masks[v] & chosen).bit_count() + (masks[v] & region).bit_count()
+            for v in _mask_members(pool)
+        ],
+        reverse=True,
+    )
+    missing = size * (size - 1) // 2 - edges
+    return [
+        min(edges + twice // 2, t * (t - 1) // 2 - missing)
+        for t, twice in enumerate(itertools.accumulate(weights, initial=0), size)
+    ]
+
+
+def search(
+    g: Graph,
+    spec: ProblemSpec,
+    budget: _Budget,
+    incumbent: tuple[int, tuple[int, ...] | None],
+    cuts: Sequence[tuple[int, int]] = (),
+) -> Solution:
+    """The include/exclude depth-first search behind every exact engine.
+
+    A node is (chosen, pool, edges inside chosen); the pool vertex first in
+    descending-degree order (ties by id) is branched, include branch first.
+    The spec sets the record rule: for the density threshold a chosen set
+    that meets gamma scores its size; for fixed cardinality a chosen set of
+    exactly k vertices scores its edges and is a leaf. A scoring set
+    replaces the incumbent (objective, vertices) only if it beats it, is
+    connected when the spec asks for it, and satisfies every cut. A node is
+    pruned when completion_bounds leaves no completion that can beat the
+    incumbent (for the threshold: no target size whose bound meets gamma),
+    and in connected variants when chosen spans two components of
+    chosen | pool.
+
+    cuts are (vertex, neighborhood mask) pairs: a set that holds the vertex
+    must also hold a vertex of the mask. A node whose chosen set holds such
+    a vertex while chosen | pool misses its mask is pruned at once.
+    """
     masks = g.masks
     order = _static_order(g)
-    best_size, best = _warm_threshold(g, spec)
+    threshold = spec.problem is Problem.MQC
+    k = spec.k
+    if threshold:
+        num, den = spec.gamma.numerator, spec.gamma.denominator
+    best, members = incumbent
     nodes = 0
-    full = (1 << g.n) - 1
-    stack: list[tuple[int, int, int]] = [(0, full, 0)]
+    stack: list[tuple[int, int, int]] = [(0, (1 << g.n) - 1, 0)]
     status = SolveStatus.OPTIMAL
     try:
         while stack:
             chosen, pool, edges = stack.pop()
             nodes += 1
             budget.tick()
+            if cuts and any(
+                chosen >> j & 1 and not (chosen | pool) & hood for j, hood in cuts
+            ):
+                continue
             size = chosen.bit_count()
-            if size > best_size and meets_density(edges, size, gamma):
-                members = _mask_members(chosen)
-                if not spec.connected or is_connected(g, members):
-                    best_size, best = size, members
-            if not pool:
+            if threshold:
+                scores = size > best and meets_density(edges, size, spec.gamma)
+            else:
+                scores = size == k and edges > best
+            if scores:
+                found = _mask_members(chosen)
+                if (not spec.connected or is_connected(g, found)) and all(
+                    not chosen >> j & 1 or chosen & hood for j, hood in cuts
+                ):
+                    best, members = size if threshold else edges, found
+            if size == k or not pool:
                 continue
             if spec.connected and chosen:
-                component = _connected_mask(
-                    masks, chosen | pool, chosen & -chosen
-                )
+                component = _connected_mask(masks, chosen | pool, chosen & -chosen)
                 if chosen & ~component:
                     continue
                 pool &= component
                 if not pool:
                     continue
-            if not _threshold_can_improve(
-                g, chosen, pool, edges, best_size, gamma
+            total = size + pool.bit_count()
+            if threshold:
+                if total <= best:
+                    continue
+                bounds = completion_bounds(masks, chosen, pool, edges)
+                if not any(
+                    2 * bounds[t - size] * den >= num * t * (t - 1)
+                    for t in range(total, max(best, size - 1), -1)
+                ):
+                    continue
+            elif (
+                total < k
+                or completion_bounds(masks, chosen, pool, edges)[k - size] <= best
             ):
                 continue
             vertex = next(v for v in order if pool >> v & 1)
@@ -358,97 +453,7 @@ def _bnb_threshold(g: Graph, spec: ProblemSpec, budget: _Budget) -> Solution:
             )
     except _LimitHit as hit:
         status = hit.status
-    return Solution(best, best_size, status, nodes_explored=nodes)
-
-
-def _threshold_can_improve(
-    g: Graph, chosen: int, pool: int, edges: int, best_size: int, gamma: Fraction
-) -> bool:
-    """Whether any completion of (chosen, pool) can beat best_size.
-
-    For each candidate target size t, the completable edge count is bounded
-    by both (current edges + the t largest candidate degrees into the
-    region) and (all pairs at size t minus the pairs already missing inside
-    the chosen set); the node survives if some t passes the exact density
-    comparison.
-    """
-    size = chosen.bit_count()
-    total = size + pool.bit_count()
-    if total <= best_size:
-        return False
-    region = chosen | pool
-    weights = sorted(
-        ((g.masks[v] & region).bit_count() for v in _mask_members(pool)),
-        reverse=True,
-    )
-    prefix = [0]
-    for w in weights:
-        prefix.append(prefix[-1] + w)
-    missing = size * (size - 1) // 2 - edges
-    num, den = gamma.numerator, gamma.denominator
-    for t in range(total, max(best_size, size - 1), -1):
-        take = max(t - size, 0)
-        bound = min(edges + prefix[take], t * (t - 1) // 2 - missing)
-        if 2 * bound * den >= num * t * (t - 1):
-            return True
-    return False
-
-
-def _bnb_fixed(g: Graph, spec: ProblemSpec, budget: _Budget) -> Solution:
-    k = spec.k
-    masks = g.masks
-    order = _static_order(g)
-    best_edges, best = _warm_fixed(g, spec)
-    nodes = 0
-    full = (1 << g.n) - 1
-    stack: list[tuple[int, int, int]] = [(0, full, 0)]
-    status = SolveStatus.OPTIMAL
-    try:
-        while stack:
-            chosen, pool, edges = stack.pop()
-            nodes += 1
-            budget.tick()
-            size = chosen.bit_count()
-            if size == k:
-                if edges > best_edges:
-                    members = _mask_members(chosen)
-                    if not spec.connected or is_connected(g, members):
-                        best_edges, best = edges, members
-                continue
-            if size + pool.bit_count() < k:
-                continue
-            if spec.connected and chosen:
-                component = _connected_mask(
-                    masks, chosen | pool, chosen & -chosen
-                )
-                if chosen & ~component:
-                    continue
-                pool &= component
-                if size + pool.bit_count() < k:
-                    continue
-            region = chosen | pool
-            weights = sorted(
-                ((masks[v] & region).bit_count() for v in _mask_members(pool)),
-                reverse=True,
-            )
-            take = k - size
-            bound = min(
-                edges + sum(weights[:take]),
-                k * (k - 1) // 2 - (size * (size - 1) // 2 - edges),
-            )
-            if bound <= best_edges:
-                continue
-            vertex = next(v for v in order if pool >> v & 1)
-            bit = 1 << vertex
-            stack.append((chosen, pool ^ bit, edges))
-            stack.append(
-                (chosen | bit, pool ^ bit, edges + (masks[vertex] & chosen).bit_count())
-            )
-    except _LimitHit as hit:
-        status = hit.status
-    if best is None:
-        terminal = (
-            SolveStatus.INFEASIBLE if status is SolveStatus.OPTIMAL else status
-        )
+    if members is None:
+        terminal = SolveStatus.INFEASIBLE if status is SolveStatus.OPTIMAL else status
         return Solution((), 0, terminal, nodes_explored=nodes)
-    return Solution(best, best_edges, status, nodes_explored=nodes)
+    return Solution(members, best, status, nodes_explored=nodes)

@@ -118,6 +118,30 @@ class TestSolveProblem:
         with pytest.raises(SolveError, match="unknown engine"):
             solve_problem(triangle, ProblemSpec.dks(2), engine="gurobi")
 
+    def test_in_process_milp_reports_nodes(self, two_k4s):
+        spec = ProblemSpec.dks(8, mode=Connectivity.CFLOW)
+        solution = solve_problem(two_k4s, spec, engine="milp")
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.nodes_explored >= 1
+
+    def test_lazy_milp_sums_nodes_over_rounds(self, two_k4s, monkeypatch):
+        import qclique.highs
+
+        real = qclique.highs.solve_model
+        counts = []
+
+        def solve_model(model, time_limit=None):
+            result = real(model, time_limit=time_limit)
+            counts.append(result[2])
+            return result
+
+        monkeypatch.setattr(qclique.highs, "solve_model", solve_model)
+        spec = ProblemSpec.dks(8, mode=Connectivity.LAZY)
+        solution = solve_problem(two_k4s, spec, engine="milp")
+        assert solution.cut_rounds >= 1
+        assert len(counts) == solution.cut_rounds + 1
+        assert solution.nodes_explored == sum(counts) >= 1
+
     @given(data=st.data())
     @settings(deadline=None, max_examples=20)
     def test_model_route_matches_oracle(self, data):

@@ -37,7 +37,7 @@ def selected_vertices(layout, assignment) -> tuple[int, ...]:
 class TestSolveModel:
     def test_triangle_full_selection(self, triangle):
         model, layout = build_m1(triangle, 3)
-        status, assignment = solve_model(model)
+        status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL
         report = model.evaluate(assignment, tol=TOL)
         assert report.feasible and report.integral
@@ -46,7 +46,7 @@ class TestSolveModel:
 
     def test_two_blocks_prefer_disconnected_edges(self, two_k4s):
         model, layout = build_m1(two_k4s, 8)
-        status, assignment = solve_model(model)
+        status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL
         assert abs(model.evaluate(assignment, tol=TOL).objective - 12) <= TOL
         assert not is_connected(two_k4s, selected_vertices(layout, assignment))
@@ -54,7 +54,7 @@ class TestSolveModel:
     def test_spanning_rows_force_connectivity(self, two_k4s):
         model, layout = build_m1(two_k4s, 8)
         model, layout = add_cstree(model, layout, two_k4s, 8)
-        status, assignment = solve_model(model)
+        status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL
         assert abs(model.evaluate(assignment, tol=TOL).objective - 10) <= TOL
         assert is_connected(two_k4s, selected_vertices(layout, assignment))
@@ -64,7 +64,7 @@ class TestSolveModel:
         lower, upper = default_bounds(two_k4s, gamma)
         model, layout = build_f3(two_k4s, gamma, lower, upper)
         model, layout = add_mpr(model, layout, two_k4s, upper)
-        status, assignment = solve_model(model)
+        status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL
         chosen = selected_vertices(layout, assignment)
         assert len(chosen) == 7
@@ -73,14 +73,14 @@ class TestSolveModel:
     def test_infeasible_model(self, triangle):
         model, layout = build_f3(triangle, Fraction(1, 2), 1, 3)
         model.add_constraint({layout.x[0]: 1}, "=", -1, tag="impossible")
-        status, assignment = solve_model(model)
+        status, assignment, _ = solve_model(model)
         assert status is SolveStatus.INFEASIBLE
         assert assignment is None
 
     def test_tiny_time_limit(self, two_k4s):
         model, layout = build_m1(two_k4s, 8)
         model, _ = add_cstree(model, layout, two_k4s, 8)
-        status, _ = solve_model(model, time_limit=1e-9)
+        status, _, _ = solve_model(model, time_limit=1e-9)
         assert status is SolveStatus.TIME_LIMIT
 
     def test_empty_model_is_rejected(self):
@@ -93,7 +93,7 @@ class TestSolveModel:
         g = data.draw(graphs(min_n=2, max_n=7))
         k = data.draw(st.integers(min_value=2, max_value=g.n))
         model, layout = build_m1(g, k)
-        status, assignment = solve_model(model)
+        status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL
         report = model.evaluate(assignment, tol=TOL)
         assert report.feasible and report.integral

@@ -501,9 +501,17 @@ class TestParseLpDialect:
             # also after the token was first read as a variable name.
             ("x", " c1: x <= abc\n c2: x <= abc", "", "row c1 rhs"),
             ("x", " c1: abc <= 1\n c2: x <= abc", "", "row c2 rhs: .*'abc'"),
-            ("x", " c1: 1/0 <= 1\n c2: x <= 1/0", "", "row c2 rhs: .*'1/0'"),
+            ("x", " c1: 1/0 <= 1\n c2: x <= 1/0", "", "row c1: .*'1/0'"),
             ("x + 3", " c: x + 3 <= 1", "", "objective: trailing number"),
             ("x", " c: x <= 1", " x <= abc\n y <= abc\n", "bounds: .*'abc'"),
+            # A malformed number before a name is no variable name, and two
+            # terms need a sign between them.
+            ("1/0 x", " c: x <= 1", "", "objective: cannot parse number '1/0'"),
+            (".5x + y", " c: x <= 1", "", "objective: cannot parse number '.5x'"),
+            ("2e x", " c: x <= 1", "", "objective: cannot parse number '2e'"),
+            ("abc x", " c: x <= 1", "", "objective: missing \\+ or - before 'x'"),
+            ("x", " c: x 3 y <= 1", "", "row c: missing \\+ or - before '3'"),
+            ("x", " c: 1/0 x <= 1", "", "row c: cannot parse number '1/0'"),
         ],
     )
     def test_bad_numbers_rejected(self, objective, rows, bounds, message):

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import resource
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclique.driver import solve_problem
 from qclique.formulations import Connectivity, FormulationError, ProblemSpec
 from qclique.graphs import Graph, density, induced_edge_count, is_connected
 from qclique.solve import (
     Limits,
     SolveError,
     SolveStatus,
+    _resident_bytes,
     branch_and_bound,
     brute_force,
+    completion_bounds,
     meets_density,
 )
 
@@ -208,11 +214,18 @@ class TestBranchAndBound:
         assert solution.vertices == ()
 
     def test_deterministic_replay(self, two_k4s):
-        spec = ProblemSpec.mqc(Fraction(1, 2), mode=Connectivity.CSTREE)
-        first = branch_and_bound(two_k4s, spec)
-        second = branch_and_bound(two_k4s, spec)
-        assert first.vertices == second.vertices
-        assert first.nodes_explored == second.nodes_explored
+        half = Fraction(1, 2)
+        cells = [
+            (branch_and_bound, ProblemSpec.mqc(half, mode=Connectivity.CSTREE)),
+            (branch_and_bound, ProblemSpec.dks(8, mode=Connectivity.CFLOW)),
+            (solve_problem, ProblemSpec.dks(8, mode=Connectivity.LAZY)),
+        ]
+        for solve, spec in cells:
+            first = solve(two_k4s, spec)
+            second = solve(two_k4s, spec)
+            assert first.vertices == second.vertices
+            assert first.nodes_explored == second.nodes_explored
+            assert first.cut_rounds == second.cut_rounds
 
     def test_counters_are_populated(self, two_k4s):
         solution = branch_and_bound(two_k4s, ProblemSpec.dks(4))
@@ -249,6 +262,34 @@ class TestBranchAndBound:
             assert_feasible(g, spec, fast)
 
     @given(data=st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_completion_bounds_are_admissible(self, data):
+        g = data.draw(graphs(min_n=1, max_n=8))
+        roles = data.draw(st.lists(st.sampled_from("cpx"), min_size=g.n, max_size=g.n))
+        chosen = [v for v, role in enumerate(roles) if role == "c"]
+        pool = [v for v, role in enumerate(roles) if role == "p"]
+        chosen_mask = sum(1 << v for v in chosen)
+        pool_mask = sum(1 << v for v in pool)
+        edges = induced_edge_count(g, chosen)
+        bounds = completion_bounds(g.masks, chosen_mask, pool_mask, edges)
+        assert len(bounds) == len(pool) + 1
+        size = len(chosen)
+        missing = size * (size - 1) // 2 - edges
+        # The bound it replaces: the top-`take` degrees into chosen | pool.
+        into_region = sorted(
+            (len(set(g.neighbors[v]) & set(chosen + pool)) for v in pool),
+            reverse=True,
+        )
+        for take, bound in enumerate(bounds):
+            best = max(
+                induced_edge_count(g, chosen + list(extra))
+                for extra in itertools.combinations(pool, take)
+            )
+            t = size + take
+            old = min(edges + sum(into_region[:take]), t * (t - 1) // 2 - missing)
+            assert best <= bound <= old
+
+    @given(data=st.data())
     @settings(deadline=None, max_examples=40)
     def test_connectivity_never_helps(self, data):
         g = data.draw(graphs(min_n=1, max_n=8))
@@ -263,7 +304,7 @@ class TestBranchAndBound:
 def _hard_instance() -> tuple[Graph, ProblemSpec]:
     """A seeded instance whose search tree comfortably exceeds one poll."""
     rng = random.Random(4242)
-    g = random_graph(rng, 20, 0.5)
+    g = random_graph(rng, 26, 0.5)
     return g, ProblemSpec.mqc(Fraction(3, 4))
 
 
@@ -290,6 +331,21 @@ class TestResourceLimits:
         solution = branch_and_bound(g, spec, Limits(memory_bytes=1))
         assert solution.status is SolveStatus.MEMORY_LIMIT
         assert solution.vertices
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/statm"),
+        reason="the current resident set is read from /proc/self/statm",
+    )
+    def test_memory_limit_ignores_an_earlier_peak(self):
+        g, spec = _hard_instance()
+        buffer = b"\x01" * (64 << 20)
+        del buffer
+        limit = _resident_bytes() + (32 << 20)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+        assert peak > limit
+        solution = branch_and_bound(g, spec, Limits(memory_bytes=limit))
+        assert solution.nodes_explored > 512
+        assert solution.status is SolveStatus.OPTIMAL
 
     def test_limited_run_does_less_work(self):
         g, spec = _hard_instance()
