@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .backend import BackendConfig, BackendError
-from .driver import build_problem_model, solve_problem
+from .driver import ENGINES, build_problem_model, solve_problem
 from .formulations import (
     Connectivity,
     FormulationError,
@@ -41,6 +41,10 @@ from .grid import GridError, GridSpec, run_grid
 from .lpio import FormatError, export_lp, export_mps
 from .milp import ModelError
 from .solve import Limits, SolveError, SolveStatus
+
+# The library's engines plus two spellings only the CLI knows: "backend"
+# (the QCLIQUE_BACKEND_CMD process) and "lazy" (cut separation).
+ENGINE_CHOICES = (*ENGINES, "backend", "lazy")
 
 EXIT_SOLVED = 0
 EXIT_INFEASIBLE = 2
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(solve)
     solve.add_argument(
         "--engine",
-        choices=["bnb", "brute", "milp", "backend", "lazy"],
+        choices=ENGINE_CHOICES,
         default="bnb",
         help="optimizer (default: bnb)",
     )
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument(
         "--engine",
-        choices=["bnb", "brute", "milp", "backend", "lazy"],
+        choices=ENGINE_CHOICES,
         default="bnb",
     )
     _add_limit_flags(grid)

@@ -18,6 +18,7 @@ deviation.
 from __future__ import annotations
 
 import csv
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ from .driver import solve_problem
 from .formulations import Connectivity, FormulationError, Problem, ProblemSpec
 from .graphs import Graph, is_connected, largest_component
 from .solve import Limits, SolveStatus
+
+logger = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("param", "status", "objective", "connected", "elapsed", "nodes")
 
@@ -180,7 +183,11 @@ def _solve_cell(
     param,
     clock: Callable[[], float],
 ) -> GridCell:
-    """Run one cell; engine failures become an error-status cell."""
+    """Run one cell; engine failures become an error-status cell.
+
+    The CSV has no room for the failure, so its type, message and traceback
+    go to this module's logger at WARNING.
+    """
     rendered = spec.render_param(param)
     limits = Limits(
         time_seconds=spec.time_limit, memory_bytes=spec.memory_bytes
@@ -188,7 +195,15 @@ def _solve_cell(
     started = clock()
     try:
         solution = solve_problem(g, spec.cell_spec(param), spec.engine, limits)
-    except Exception:
+    except Exception as exc:
+        logger.warning(
+            "%s cell %s failed: %s: %s",
+            spec.name,
+            rendered,
+            type(exc).__name__,
+            exc,
+            exc_info=True,
+        )
         cell = GridCell(rendered, ERROR_STATUS, 0, False, clock() - started, 0)
         return GridCell.from_csv(cell.to_csv())
     elapsed = clock() - started

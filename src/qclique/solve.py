@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 from .formulations import Certificate, Problem, ProblemSpec
 from .graphs import Graph, induced_edge_count, is_connected
@@ -231,8 +232,15 @@ def _brute_fixed(g: Graph, spec: ProblemSpec) -> Solution:
     return Solution(best, best_edges, SolveStatus.OPTIMAL, nodes_explored=explored)
 
 
-def _static_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+# Each memo below holds the gamma-free inputs of this many recent graphs. A
+# sweep solves one graph many times; Graph equality ignores labels, and so
+# do the seeds.
+_MEMO_GRAPHS = 8
+
+
+@lru_cache(maxsize=_MEMO_GRAPHS)
+def _static_order(g: Graph) -> tuple[int, ...]:
+    return tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
 
 
 def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
@@ -264,17 +272,19 @@ def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
     return chosen
 
 
-def _peeling_sequence(g: Graph) -> list[tuple[tuple[int, ...], int]]:
-    """Sets, with their induced edge counts, obtained by repeatedly removing
-    a minimum-degree vertex."""
+def _peeling_sequence(g: Graph) -> list[tuple[int, int, int]]:
+    """Sets, as (mask, size, induced edge count), obtained by repeatedly
+    removing a minimum-degree vertex."""
     alive = set(range(g.n))
     degrees = {v: g.degree(v) for v in alive}
+    mask = (1 << g.n) - 1
     edges = g.m
     states = []
     while alive:
-        states.append((tuple(sorted(alive)), edges))
+        states.append((mask, len(alive), edges))
         victim = min(alive, key=lambda v: (degrees[v], v))
         alive.remove(victim)
+        mask ^= 1 << victim
         edges -= degrees[victim]
         for w in g.neighbors[victim]:
             if w in alive:
@@ -282,39 +292,71 @@ def _peeling_sequence(g: Graph) -> list[tuple[tuple[int, ...], int]]:
     return states
 
 
+@dataclass(frozen=True)
+class _Seeds:
+    """The warm-start inputs of one graph and connectedness flavor.
+
+    greedy is the greedy sequence and prefix_edges[i] the edge count inside
+    its first i + 1 vertices. greedy_sets (its prefixes) and peeling_sets
+    (the peeling states) are the candidates a threshold warm start offers,
+    in offer order, as (mask, size, edges). The connected flavor leaves out
+    every disconnected candidate, which it could never record.
+    """
+
+    greedy: tuple[int, ...]
+    prefix_edges: tuple[int, ...]
+    greedy_sets: tuple[tuple[int, int, int], ...]
+    peeling_sets: tuple[tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=_MEMO_GRAPHS)
+def _seeds(g: Graph, connected: bool) -> _Seeds:
+    """The gamma-free seeds of a graph, worked out once for every cell."""
+    masks = g.masks
+    greedy = tuple(_greedy_sequence(g, connected))
+    prefix_edges, greedy_sets = [], []
+    prefix, edges = 0, 0
+    for v in greedy:
+        edges += (masks[v] & prefix).bit_count()
+        prefix |= 1 << v
+        prefix_edges.append(edges)
+        greedy_sets.append((prefix, len(prefix_edges), edges))
+
+    def offered(sets: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
+        if not connected:
+            return tuple(sets)
+        return tuple(
+            c for c in sets if _connected_mask(masks, c[0], c[0] & -c[0]) == c[0]
+        )
+
+    return _Seeds(
+        greedy,
+        tuple(prefix_edges),
+        offered(greedy_sets),
+        offered(_peeling_sequence(g)),
+    )
+
+
 def _warm_threshold(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
     gamma = spec.gamma
-    best_size, best = 0, ()
-
-    def offer(members: tuple[int, ...], edges: int) -> None:
-        nonlocal best_size, best
-        if not meets_density(edges, len(members), gamma):
-            return
-        if spec.connected and not is_connected(g, members):
-            return
-        best_size, best = len(members), members
-
-    prefix, edges = 0, 0
-    for v in _greedy_sequence(g, spec.connected):
-        edges += (g.masks[v] & prefix).bit_count()
-        prefix |= 1 << v
-        if prefix.bit_count() > best_size:
-            offer(_mask_members(prefix), edges)
+    seeds = _seeds(g, spec.connected)
+    candidates = seeds.greedy_sets
     # Density is preserved under minimum-degree peeling only from gamma 1/2
     # up, so the peeling states are offered as seeds just in that regime.
     if gamma >= Fraction(1, 2):
-        for members, edges in _peeling_sequence(g):
-            if len(members) > best_size:
-                offer(members, edges)
-    return best_size, best
+        candidates += seeds.peeling_sets
+    best_size, best = 0, 0
+    for mask, size, edges in candidates:
+        if size > best_size and meets_density(edges, size, gamma):
+            best_size, best = size, mask
+    return best_size, _mask_members(best)
 
 
 def _warm_fixed(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...] | None]:
-    sequence = _greedy_sequence(g, spec.connected)
-    if len(sequence) < spec.k:
+    seeds = _seeds(g, spec.connected)
+    if len(seeds.greedy) < spec.k:
         return -1, None
-    members = tuple(sorted(sequence[: spec.k]))
-    return induced_edge_count(g, members), members
+    return seeds.prefix_edges[spec.k - 1], tuple(sorted(seeds.greedy[: spec.k]))
 
 
 def branch_and_bound(
@@ -352,18 +394,23 @@ def completion_bounds(
     """
     size = chosen.bit_count()
     region = chosen | pool
-    weights = sorted(
-        [
-            (masks[v] & chosen).bit_count() + (masks[v] & region).bit_count()
-            for v in _mask_members(pool)
-        ],
-        reverse=True,
-    )
-    missing = size * (size - 1) // 2 - edges
-    return [
-        min(edges + twice // 2, t * (t - 1) // 2 - missing)
-        for t, twice in enumerate(itertools.accumulate(weights, initial=0), size)
-    ]
+    weights = []
+    while pool:
+        low = pool & -pool
+        hood = masks[low.bit_length() - 1]
+        weights.append((hood & chosen).bit_count() + (hood & region).bit_count())
+        pool ^= low
+    weights.sort(reverse=True)
+    # The cap C(t, 2) - missing is edges at t = size and grows by t from t
+    # to t + 1.
+    bounds = [edges]
+    twice, cap = 0, edges
+    for t, weight in enumerate(weights, size):
+        twice += weight
+        cap += t
+        bound = edges + twice // 2
+        bounds.append(bound if bound < cap else cap)
+    return bounds
 
 
 def search(

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
 
 import pytest
 
+from qclique import driver
 from qclique.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
     EXIT_LIMIT,
     EXIT_SOLVED,
+    build_parser,
     main,
 )
 from qclique.graphs import Graph, serialize_edge_list
@@ -537,3 +540,17 @@ class TestParser:
             main(["--help"])
         assert info.value.code == 0
         assert "stats" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve", "grid"])
+    def test_engine_choices_follow_the_library(self, command):
+        commands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        engine = next(
+            action
+            for action in commands.choices[command]._actions
+            if "--engine" in action.option_strings
+        )
+        assert tuple(engine.choices) == (*driver.ENGINES, "backend", "lazy")

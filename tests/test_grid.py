@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 
 import pytest
 
-from qclique import grid
+from qclique import grid, solve
 from qclique.backend import BackendConfig
 from qclique.formulations import Connectivity, Problem
 from qclique.graphs import Graph
+from qclique.driver import solve_problem
 from qclique.grid import (
     CSV_COLUMNS,
     GridCell,
@@ -199,6 +201,21 @@ class TestRunGrid:
         cells = read_cells(tmp_path / "grid.csv")
         assert cells[0].status == "error"
 
+    def test_error_cells_log_their_exception(self, tmp_path, triangle, caplog):
+        spec = GridSpec(
+            name="triangle",
+            family=Problem.DKS,
+            engine=BackendConfig(command="/no/such/solver {model} {solution}"),
+        )
+        with caplog.at_level(logging.WARNING, logger="qclique.grid"):
+            run_grid(triangle, spec, tmp_path / "grid.csv", clock=FakeClock())
+        (record,) = [r for r in caplog.records if r.name == "qclique.grid"]
+        assert record.levelno == logging.WARNING
+        assert "triangle cell 2 failed: BackendProcessError: " in record.getMessage()
+        assert "/no/such/solver" in record.getMessage()
+        assert record.exc_info is not None
+        assert "Traceback" in caplog.text
+
     def test_worker_pool_matches_sequential(self, tmp_path, two_k4s):
         spec = GridSpec(name="blocks", family=Problem.DKS)
         solo = run_grid(two_k4s, spec, tmp_path / "solo.csv", clock=FakeClock())
@@ -232,3 +249,66 @@ class TestRunGrid:
         spec = GridSpec(name="triangle", family=Problem.DKS)
         with pytest.raises(GridError, match="header"):
             run_grid(triangle, spec, target)
+
+
+
+def _clear_memos() -> None:
+    solve._seeds.cache_clear()
+    solve._static_order.cache_clear()
+
+
+class TestSeedMemo:
+    """Gamma-free solver inputs are worked out once per graph and flavor,
+    and sharing them leaves every cell's result as a fresh solve gives."""
+
+    @pytest.mark.parametrize(
+        "mode, connected",
+        [(Connectivity.NONE, False), (Connectivity.CSTREE, True)],
+    )
+    def test_threshold_sweep_prepares_each_flavor_once(
+        self, tmp_path, two_k4s, monkeypatch, mode, connected
+    ):
+        _clear_memos()
+        calls = []
+        greedy, peeling = solve._greedy_sequence, solve._peeling_sequence
+
+        def counted_greedy(g, flavor):
+            calls.append(("greedy", flavor))
+            return greedy(g, flavor)
+
+        def counted_peeling(g):
+            calls.append(("peeling",))
+            return peeling(g)
+
+        monkeypatch.setattr(solve, "_greedy_sequence", counted_greedy)
+        monkeypatch.setattr(solve, "_peeling_sequence", counted_peeling)
+        spec = GridSpec(name="blocks", family=Problem.MQC, mode=mode)
+        row = run_grid(two_k4s, spec, tmp_path / "grid.csv", clock=FakeClock())
+        assert row.cells == 91
+        assert sorted(calls) == [("greedy", connected), ("peeling",)]
+
+    @pytest.mark.parametrize(
+        "family, mode",
+        [
+            (Problem.MQC, Connectivity.NONE),
+            (Problem.MQC, Connectivity.CSTREE),
+            (Problem.DKS, Connectivity.CFLOW),
+            (Problem.DKS, Connectivity.LAZY),
+        ],
+    )
+    def test_shared_seeds_match_fresh_ones(
+        self, tmp_path, two_k4s, monkeypatch, family, mode
+    ):
+        spec = GridSpec(name="blocks", family=family, mode=mode)
+        _clear_memos()
+        shared = tmp_path / "shared.csv"
+        run_grid(two_k4s, spec, shared, clock=FakeClock())
+
+        def fresh(g, cell, engine, limits):
+            _clear_memos()
+            return solve_problem(g, cell, engine, limits)
+
+        monkeypatch.setattr(grid, "solve_problem", fresh)
+        cleared = tmp_path / "cleared.csv"
+        run_grid(two_k4s, spec, cleared, clock=FakeClock())
+        assert shared.read_bytes() == cleared.read_bytes()

@@ -20,6 +20,8 @@ from qclique.solve import (
     SolveError,
     SolveStatus,
     _resident_bytes,
+    _warm_fixed,
+    _warm_threshold,
     branch_and_bound,
     brute_force,
     completion_bounds,
@@ -280,6 +282,15 @@ class TestBranchAndBound:
             (len(set(g.neighbors[v]) & set(chosen + pool)) for v in pool),
             reverse=True,
         )
+        # The bound as documented: half the top-`take` weights 2 a_v + b_v.
+        weights = sorted(
+            (
+                2 * len(set(g.neighbors[v]) & set(chosen))
+                + len(set(g.neighbors[v]) & set(pool))
+                for v in pool
+            ),
+            reverse=True,
+        )
         for take, bound in enumerate(bounds):
             best = max(
                 induced_edge_count(g, chosen + list(extra))
@@ -288,6 +299,8 @@ class TestBranchAndBound:
             t = size + take
             old = min(edges + sum(into_region[:take]), t * (t - 1) // 2 - missing)
             assert best <= bound <= old
+            cap = t * (t - 1) // 2 - missing
+            assert bound == min(edges + sum(weights[:take]) // 2, cap)
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=40)
@@ -299,6 +312,109 @@ class TestBranchAndBound:
             g, ProblemSpec.mqc(gamma, mode=Connectivity.CSTREE)
         )
         assert tied.objective <= free.objective
+
+
+def reference_greedy(g: Graph, connected: bool) -> list[int]:
+    """Greedy sequence from scratch: start at the highest degree, then add
+    the vertex with the most edges into the set (the connected flavor only
+    takes neighbors of the set); ties go to the lowest id."""
+    if g.n == 0:
+        return []
+    sequence = [max(range(g.n), key=lambda v: (g.degree(v), -v))]
+    inside = set(sequence)
+    while True:
+        pool = [
+            v
+            for v in range(g.n)
+            if v not in inside and (not connected or inside & set(g.neighbors[v]))
+        ]
+        if not pool:
+            return sequence
+        best = max(pool, key=lambda v: (len(inside & set(g.neighbors[v])), -v))
+        sequence.append(best)
+        inside.add(best)
+
+
+def reference_peeling(g: Graph) -> list[tuple[int, ...]]:
+    """Every set left while removing a minimum-degree vertex (lowest id)."""
+    alive = set(range(g.n))
+    states = []
+    while alive:
+        states.append(tuple(sorted(alive)))
+        alive.remove(
+            min(alive, key=lambda v: (len(alive & set(g.neighbors[v])), v))
+        )
+    return states
+
+
+def reference_warm_threshold(g: Graph, spec: ProblemSpec):
+    """Offer every greedy prefix, then (from gamma 1/2 up) every peeling
+    state; keep each larger set that meets gamma and, if asked, is
+    connected."""
+    best_size, best = 0, ()
+    sequence = reference_greedy(g, spec.connected)
+    candidates = [
+        tuple(sorted(sequence[:size])) for size in range(1, len(sequence) + 1)
+    ]
+    if spec.gamma >= Fraction(1, 2):
+        candidates += reference_peeling(g)
+    for members in candidates:
+        if (
+            len(members) > best_size
+            and meets_density(induced_edge_count(g, members), len(members), spec.gamma)
+            and (not spec.connected or is_connected(g, members))
+        ):
+            best_size, best = len(members), members
+    return best_size, best
+
+
+def reference_warm_fixed(g: Graph, spec: ProblemSpec):
+    """The first k vertices of the greedy sequence, if it has k."""
+    sequence = reference_greedy(g, spec.connected)
+    if len(sequence) < spec.k:
+        return -1, None
+    members = tuple(sorted(sequence[: spec.k]))
+    return induced_edge_count(g, members), members
+
+
+class TestWarmStarts:
+    """The warm starts read memoised per-graph seeds; each call must give
+    what a from-scratch computation on that very graph gives."""
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_memoised_seeds_match_a_fresh_reference(self, data):
+        first = data.draw(graphs(min_n=2, max_n=10))
+        second = data.draw(graphs(min_n=2, max_n=10))
+        relabelled = Graph(
+            first.n, first.edges, tuple(f"v{i}" for i in range(first.n))
+        )
+        for g in (first, second, relabelled, second, first):
+            for mode in (Connectivity.NONE, Connectivity.CSTREE):
+                gamma = Fraction(data.draw(st.integers(1, 20)), 20)
+                spec = ProblemSpec.mqc(gamma, mode=mode)
+                assert _warm_threshold(g, spec) == reference_warm_threshold(g, spec)
+                k = data.draw(st.integers(min_value=2, max_value=g.n))
+                spec = ProblemSpec.dks(k, mode=mode)
+                assert _warm_fixed(g, spec) == reference_warm_fixed(g, spec)
+
+    def test_connected_flavor_skips_a_disconnected_peeling_state(self):
+        # A triangle and a lone vertex: the first peeling state is the whole
+        # graph, at density exactly 1/2 but in two pieces.
+        g = Graph.build(4, [(0, 1), (0, 2), (1, 2)])
+        half = Fraction(1, 2)
+        assert _warm_threshold(g, ProblemSpec.mqc(half)) == (4, (0, 1, 2, 3))
+        connected = ProblemSpec.mqc(half, mode=Connectivity.CSTREE)
+        assert _warm_threshold(g, connected) == (3, (0, 1, 2))
+        assert reference_warm_threshold(g, connected) == (3, (0, 1, 2))
+
+    def test_equal_structure_shares_seeds_whatever_the_labels(self, two_k4s):
+        spec = ProblemSpec.mqc(Fraction(1, 2), mode=Connectivity.CSTREE)
+        labelled = Graph(two_k4s.n, two_k4s.edges, tuple("abcdefghijk"))
+        assert _warm_threshold(labelled, spec) == _warm_threshold(two_k4s, spec)
+        assert _warm_threshold(labelled, spec) == reference_warm_threshold(
+            two_k4s, spec
+        )
 
 
 def _hard_instance() -> tuple[Graph, ProblemSpec]:
