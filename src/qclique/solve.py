@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .formulations import Certificate, Problem, ProblemSpec
+from .formulations import Problem, ProblemSpec
 from .graphs import Graph, induced_edge_count, is_connected
 
 
@@ -70,7 +70,6 @@ class Solution:
     vertices: tuple[int, ...]
     objective: int
     status: SolveStatus
-    certificate: Certificate | None = None
     elapsed: float = 0.0
     nodes_explored: int = 0
     cut_rounds: int | None = None
@@ -238,9 +237,27 @@ def _brute_fixed(g: Graph, spec: ProblemSpec) -> Solution:
 _MEMO_GRAPHS = 8
 
 
+def _relabel(mask: int, label: Sequence[int]) -> int:
+    """The mask with each vertex v moved to bit label[v]."""
+    moved = 0
+    while mask:
+        low = mask & -mask
+        moved |= 1 << label[low.bit_length() - 1]
+        mask ^= low
+    return moved
+
+
 @lru_cache(maxsize=_MEMO_GRAPHS)
-def _static_order(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
+def _ranking(
+    g: Graph,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The branching order (descending degree, ties by id), its inverse
+    (each vertex's rank) and the neighbor masks relabelled to rank."""
+    order = tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
+    rank = [0] * g.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    return order, tuple(rank), tuple(_relabel(g.masks[v], rank) for v in order)
 
 
 def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
@@ -365,10 +382,13 @@ def branch_and_bound(
     """Exact solver over include/exclude decisions with admissible bounds.
 
     Vertices are branched in descending-degree order (ties by id), include
-    branch first, from a greedy warm start. A node is pruned when no
-    completion can beat the incumbent: for the density threshold this means
-    no admissible target size survives an exact upper bound on completable
-    edges; for fixed cardinality, the same edge bound at size k. Connected
+    branch first, from a greedy warm start; search keeps its sets in that
+    rank order, so the branching vertex is the pool's lowest set bit. A node
+    is pruned when no completion can beat the incumbent: for the density
+    threshold this means no admissible target size survives an exact upper
+    bound on completable edges; for fixed cardinality, the same edge bound
+    at size k. Pool vertices with more non-neighbors in the chosen set than
+    a better set's budget of missing pairs allows are dropped. Connected
     variants also prune nodes whose chosen set spans more than one component
     of the remaining graph. Hitting a limit returns the incumbent with the
     corresponding status instead of raising.
@@ -422,28 +442,42 @@ def search(
 ) -> Solution:
     """The include/exclude depth-first search behind every exact engine.
 
-    A node is (chosen, pool, edges inside chosen); the pool vertex first in
-    descending-degree order (ties by id) is branched, include branch first.
+    A node is (chosen, pool, edges inside chosen), kept in branching-rank
+    labels: vertices are relabelled by descending degree (ties by id), so
+    the pool's lowest set bit is the branching vertex, include branch first.
     The spec sets the record rule: for the density threshold a chosen set
     that meets gamma scores its size; for fixed cardinality a chosen set of
-    exactly k vertices scores its edges and is a leaf. A scoring set
-    replaces the incumbent (objective, vertices) only if it beats it, is
-    connected when the spec asks for it, and satisfies every cut. A node is
-    pruned when completion_bounds leaves no completion that can beat the
-    incumbent (for the threshold: no target size whose bound meets gamma),
-    and in connected variants when chosen spans two components of
-    chosen | pool.
+    exactly k vertices scores its edges and is a leaf. A scoring set, mapped
+    back to sorted original ids, replaces the incumbent (objective, vertices)
+    only if it beats it, is connected when the spec asks for it, and
+    satisfies every cut. A node is pruned when completion_bounds leaves no
+    completion that can beat the incumbent (for the threshold: no target
+    size whose bound meets gamma), and in connected variants when chosen
+    spans two components of chosen | pool.
 
-    cuts are (vertex, neighborhood mask) pairs: a set that holds the vertex
-    must also hold a vertex of the mask. A node whose chosen set holds such
-    a vertex while chosen | pool misses its mask is pruned at once.
+    Each node also gets a budget of missing pairs. For the threshold, a
+    better set misses at most C(top, 2) - ceil(gamma * C(top, 2)) pairs,
+    top being the largest target the bound admits (this budget grows with
+    the size, and every larger target failed). At fixed size it misses at
+    most C(k, 2) - best - 1; that budget is known before the bound, so it
+    is applied first and the bound sees the smaller pool. The pool loses
+    every vertex whose non-neighbors in chosen, added to the pairs chosen
+    already misses, exceed the budget. Only subtrees that hold no better
+    set are cut, so the incumbents found are those of the full search.
+
+    cuts are (vertex, neighborhood mask) pairs in original ids: a set that
+    holds the vertex must also hold a vertex of the mask. A node whose
+    chosen set holds such a vertex while chosen | pool misses its mask is
+    pruned at once.
     """
-    masks = g.masks
-    order = _static_order(g)
+    order, rank, masks = _ranking(g)
+    cuts = [(rank[j], _relabel(hood, rank)) for j, hood in cuts]
     threshold = spec.problem is Problem.MQC
     k = spec.k
     if threshold:
         num, den = spec.gamma.numerator, spec.gamma.denominator
+    else:
+        k_pairs = k * (k - 1) // 2
     best, members = incumbent
     nodes = 0
     stack: list[tuple[int, int, int]] = [(0, (1 << g.n) - 1, 0)]
@@ -463,7 +497,7 @@ def search(
             else:
                 scores = size == k and edges > best
             if scores:
-                found = _mask_members(chosen)
+                found = tuple(sorted(order[r] for r in _mask_members(chosen)))
                 if (not spec.connected or is_connected(g, found)) and all(
                     not chosen >> j & 1 or chosen & hood for j, hood in cuts
                 ):
@@ -477,27 +511,43 @@ def search(
                 pool &= component
                 if not pool:
                     continue
-            total = size + pool.bit_count()
+            missing = size * (size - 1) // 2 - edges
             if threshold:
+                total = size + pool.bit_count()
                 if total <= best:
                     continue
                 bounds = completion_bounds(masks, chosen, pool, edges)
-                if not any(
-                    2 * bounds[t - size] * den >= num * t * (t - 1)
-                    for t in range(total, max(best, size - 1), -1)
-                ):
+                for top in range(total, max(best, size - 1), -1):
+                    if 2 * bounds[top - size] * den >= num * top * (top - 1):
+                        break
+                else:
                     continue
-            elif (
-                total < k
+                pairs = top * (top - 1) // 2
+                allow = pairs - -(-num * pairs // den) - missing
+            else:
+                allow = k_pairs - best - 1 - missing
+            # A vertex has at most size non-neighbors in chosen: at
+            # allow >= size none is dropped, at allow < 0 all are.
+            if allow < size:
+                need = size - allow
+                rest = pool
+                while rest:
+                    low = rest & -rest
+                    if (masks[low.bit_length() - 1] & chosen).bit_count() < need:
+                        pool ^= low
+                    rest ^= low
+                if not pool:
+                    continue
+            if not threshold and (
+                size + pool.bit_count() < k
                 or completion_bounds(masks, chosen, pool, edges)[k - size] <= best
             ):
                 continue
-            vertex = next(v for v in order if pool >> v & 1)
-            bit = 1 << vertex
-            stack.append((chosen, pool ^ bit, edges))
-            stack.append(
-                (chosen | bit, pool ^ bit, edges + (masks[vertex] & chosen).bit_count())
-            )
+            bit = pool & -pool
+            pool ^= bit
+            stack.append((chosen, pool, edges))
+            gained = (masks[bit.bit_length() - 1] & chosen).bit_count()
+            stack.append((chosen | bit, pool, edges + gained))
     except _LimitHit as hit:
         status = hit.status
     if members is None:

@@ -254,7 +254,7 @@ class TestRunGrid:
 
 def _clear_memos() -> None:
     solve._seeds.cache_clear()
-    solve._static_order.cache_clear()
+    solve._ranking.cache_clear()
 
 
 class TestSeedMemo:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from qclique.driver import solve_problem
 from qclique.formulations import Connectivity, FormulationError, ProblemSpec
 from qclique.graphs import Graph, density, induced_edge_count, is_connected
+from qclique.lazy import solve_lazy
 from qclique.solve import (
     Limits,
     SolveError,
@@ -415,6 +416,87 @@ class TestWarmStarts:
         assert _warm_threshold(labelled, spec) == reference_warm_threshold(
             two_k4s, spec
         )
+
+
+@st.composite
+def seeded_graphs(draw, max_n: int) -> Graph:
+    """G(n, p) from a drawn seed: denser than `graphs` draws, and its
+    descending-degree branching order is rarely the id order."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    p = draw(st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9]))
+    return random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+
+
+def assert_answer(g: Graph, spec: ProblemSpec, solution, exact) -> None:
+    """solution agrees with the oracle's status and objective, and is a
+    valid answer in original ids, checked from the problem statement."""
+    assert solution.status is exact.status
+    assert solution.objective == exact.objective
+    if exact.status is SolveStatus.OPTIMAL:
+        assert all(0 <= v < g.n for v in solution.vertices)
+        assert_feasible(g, spec, solution)
+    else:
+        assert solution.vertices == ()
+
+
+class TestSearchAgainstEnumeration:
+    """Every exact engine that runs the search, on every family, agrees
+    with brute force, whatever the branching order."""
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_every_family_matches_brute_force(self, data):
+        g = data.draw(seeded_graphs(max_n=12))
+        gamma = Fraction(data.draw(st.integers(1, 20)), 20)
+        k = data.draw(st.integers(min_value=2, max_value=g.n))
+        for spec in (
+            ProblemSpec.mqc(gamma),
+            ProblemSpec.mqc(gamma, mode=Connectivity.CSTREE),
+            ProblemSpec.dks(k),
+            ProblemSpec.dks(k, mode=Connectivity.CFLOW),
+        ):
+            assert_answer(g, spec, branch_and_bound(g, spec), brute_force(g, spec))
+        spec = ProblemSpec.dks(k, mode=Connectivity.LAZY)
+        exact = brute_force(g, ProblemSpec.dks(k, mode=Connectivity.CFLOW))
+        assert_answer(g, spec, solve_lazy(g, k, engine="bnb"), exact)
+
+    def test_cut_rounds_under_a_hub_led_order(self):
+        # A triangle on 0, 2, 3 and a star centred on 4: the branching order
+        # starts 4, 0, 2, 3, and the densest 4-set (the triangle and a star
+        # edge) is disconnected, so the lazy loop must cut it off.
+        g = Graph.build(9, [(0, 2), (0, 3), (2, 3), (4, 5), (4, 7), (4, 8)])
+        assert solve_lazy(g, 4).cut_rounds >= 1
+        for k in range(2, 10):
+            spec = ProblemSpec.dks(k, mode=Connectivity.LAZY)
+            exact = brute_force(g, ProblemSpec.dks(k, mode=Connectivity.CFLOW))
+            assert_answer(g, spec, solve_lazy(g, k, engine="bnb"), exact)
+        for i in range(1, 21):
+            spec = ProblemSpec.mqc(Fraction(i, 20), mode=Connectivity.CSTREE)
+            assert_answer(g, spec, branch_and_bound(g, spec), brute_force(g, spec))
+
+
+def _probe_graph() -> Graph:
+    """G(105, 0.08) drawn pair by pair in lexicographic order from seed 4242."""
+    g = random_graph(random.Random(4242), 105, 0.08)
+    assert g.m == 446
+    return g
+
+
+class TestNodesToProof:
+    """The missing-pairs budget must prune: on the probe graph these cells
+    took 9,193 and 61,737 nodes with the edge bound alone."""
+
+    def test_clique_proof(self):
+        solution = branch_and_bound(_probe_graph(), ProblemSpec.mqc(Fraction(1)))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == 4
+        assert solution.nodes_explored <= 1000
+
+    def test_densest_five_proof(self):
+        solution = branch_and_bound(_probe_graph(), ProblemSpec.dks(5))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == 8
+        assert solution.nodes_explored <= 10_000
 
 
 def _hard_instance() -> tuple[Graph, ProblemSpec]:
