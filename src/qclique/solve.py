@@ -239,12 +239,7 @@ _MEMO_GRAPHS = 8
 
 def _relabel(mask: int, label: Sequence[int]) -> int:
     """The mask with each vertex v moved to bit label[v]."""
-    moved = 0
-    while mask:
-        low = mask & -mask
-        moved |= 1 << label[low.bit_length() - 1]
-        mask ^= low
-    return moved
+    return sum(1 << label[v] for v in _mask_members(mask))
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
