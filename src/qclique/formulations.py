@@ -693,20 +693,13 @@ def _bfs_tree(g: Graph, members: tuple[int, ...]) -> tuple[int, dict[int, int]]:
 
 
 def _subtree_sizes(parent: dict[int, int], source: int) -> dict[int, int]:
+    """Each tree vertex's subtree size. parent is in BFS discovery order, so
+    in reverse every child is finished before its parent gathers it."""
     sizes = {v: 1 for v in parent}
-    order = sorted(parent, key=lambda v: -_depth(parent, source, v))
-    for v in order:
+    for v in reversed(parent):
         if v != source:
             sizes[parent[v]] += sizes[v]
     return sizes
-
-
-def _depth(parent: dict[int, int], source: int, v: int) -> int:
-    depth = 0
-    while v != source:
-        v = parent[v]
-        depth += 1
-    return depth
 
 
 def build_certificate(

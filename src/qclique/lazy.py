@@ -8,9 +8,10 @@ always violates at least one of its own cuts, so every round strictly
 shrinks the candidate space and the loop terminates.
 
 Three interchangeable inner optimizers are supported: "bnb" runs the
-shared branch-and-bound search with the pooled cuts as an extra prune,
-"milp" solves the built model with the bundled HiGHS engine, and a
-BackendConfig routes the model to an external solver process.
+shared branch-and-bound search, unconstrained in the first round and
+connected once a round has come back disconnected, so it needs at most one
+cut round; "milp" solves the built model with the bundled HiGHS engine;
+and a BackendConfig routes the model to an external solver process.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .backend import (
     extract_vertex_set,
     solve_external,
 )
-from .formulations import ProblemSpec, build_m1, lazy_cuts
+from .formulations import Connectivity, ProblemSpec, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
 from .milp import LinearConstraint
 from .solve import (
@@ -50,11 +51,12 @@ def solve_lazy(
 ) -> Solution:
     """Largest edge count over connected k-vertex sets, via cut rounds.
 
-    engine is "bnb" (direct enumeration, the default), "milp" (bundled
-    HiGHS), or a BackendConfig for an external process. The returned
-    Solution is either connected-and-optimal, infeasible (no connected
-    k-set exists), or a limit status; cut_rounds counts the separation
-    rounds that were needed. The time limit spans all rounds together.
+    engine is "bnb" (the shared search, the default; it needs at most one
+    cut round), "milp" (bundled HiGHS), or a BackendConfig for an external
+    process. The returned Solution is either connected-and-optimal,
+    infeasible (no connected k-set exists), or a limit status; cut_rounds
+    counts the separation rounds that were needed. The time limit spans all
+    rounds together.
     """
     if isinstance(engine, str) and engine not in ENGINES:
         raise SolveError(
@@ -125,14 +127,18 @@ def _solve_inner(
     remaining: float | None,
     limits: Limits,
 ) -> tuple[SolveStatus, tuple[int, ...], int]:
-    """One full solve of the edge-count model plus pooled cuts."""
+    """One full solve of the edge-count model plus pooled cuts.
+
+    The bnb engine does not read the pooled rows: once the pool is
+    non-empty it runs the connected search, which prunes every node the
+    cuts would.
+    """
     if engine == "bnb":
         budget = _Budget(
             Limits(time_seconds=remaining, memory_bytes=limits.memory_bytes)
         )
-        found = search(
-            g, ProblemSpec.dks(k), budget, (-1, None), _compile_cuts(pool.values())
-        )
+        mode = Connectivity.LAZY if pool else Connectivity.NONE
+        found = search(g, ProblemSpec.dks(k, mode=mode), budget, (-1, None))
         return found.status, found.vertices, found.nodes_explored
     model, layout = build_m1(g, k)
     for cut in pool.values():
@@ -153,20 +159,3 @@ def _solve_inner(
         return result.status, (), 0
     return result.status, extract_vertex_set(layout, result.assignment), 0
 
-
-def _compile_cuts(pool) -> list[tuple[int, int]]:
-    """Each cut as (fragment vertex, neighborhood mask) for mask checks."""
-    compiled = []
-    for cut in pool:
-        fragment_vertex = None
-        neighborhood = 0
-        for name, coef in cut.terms.items():
-            vertex = int(name.split("_", 1)[1])
-            if coef < 0:
-                fragment_vertex = vertex
-            else:
-                neighborhood |= 1 << vertex
-        if fragment_vertex is None:
-            raise AssertionError(f"cut {cut.tag} has no fragment vertex")
-        compiled.append((fragment_vertex, neighborhood))
-    return compiled

@@ -139,9 +139,6 @@ class LinearModel:
         except KeyError:
             raise ModelError(f"unknown variable {name!r}") from None
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._index
-
     def handle(self, name: str) -> int:
         if name not in self._index:
             raise ModelError(f"unknown variable {name!r}")
@@ -178,9 +175,6 @@ class LinearModel:
         self.constraints.append(row)
         self._tags.add(tag)
         return len(self.constraints) - 1
-
-    def has_tag(self, tag: str) -> bool:
-        return tag in self._tags
 
     def set_objective(self, terms: Mapping[str, Number]) -> None:
         """Set the maximization objective (the only supported sense)."""

@@ -243,16 +243,14 @@ def _relabel(mask: int, label: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
-def _ranking(
-    g: Graph,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The branching order (descending degree, ties by id), its inverse
-    (each vertex's rank) and the neighbor masks relabelled to rank."""
+def _ranking(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The branching order (descending degree, ties by id) and the neighbor
+    masks relabelled to rank."""
     order = tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
     rank = [0] * g.n
     for r, v in enumerate(order):
         rank[v] = r
-    return order, tuple(rank), tuple(_relabel(g.masks[v], rank) for v in order)
+    return order, tuple(_relabel(g.masks[v], rank) for v in order)
 
 
 def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
@@ -433,7 +431,6 @@ def search(
     spec: ProblemSpec,
     budget: _Budget,
     incumbent: tuple[int, tuple[int, ...] | None],
-    cuts: Sequence[tuple[int, int]] = (),
 ) -> Solution:
     """The include/exclude depth-first search behind every exact engine.
 
@@ -444,11 +441,11 @@ def search(
     that meets gamma scores its size; for fixed cardinality a chosen set of
     exactly k vertices scores its edges and is a leaf. A scoring set, mapped
     back to sorted original ids, replaces the incumbent (objective, vertices)
-    only if it beats it, is connected when the spec asks for it, and
-    satisfies every cut. A node is pruned when completion_bounds leaves no
-    completion that can beat the incumbent (for the threshold: no target
-    size whose bound meets gamma), and in connected variants when chosen
-    spans two components of chosen | pool.
+    only if it beats it and is connected when the spec asks for it. A node
+    is pruned when completion_bounds leaves no completion that can beat the
+    incumbent (for the threshold: no target size whose bound meets gamma),
+    and in connected variants when chosen spans two components of
+    chosen | pool.
 
     Each node also gets a budget of missing pairs. For the threshold, a
     better set misses at most C(top, 2) - ceil(gamma * C(top, 2)) pairs,
@@ -459,14 +456,8 @@ def search(
     every vertex whose non-neighbors in chosen, added to the pairs chosen
     already misses, exceed the budget. Only subtrees that hold no better
     set are cut, so the incumbents found are those of the full search.
-
-    cuts are (vertex, neighborhood mask) pairs in original ids: a set that
-    holds the vertex must also hold a vertex of the mask. A node whose
-    chosen set holds such a vertex while chosen | pool misses its mask is
-    pruned at once.
     """
-    order, rank, masks = _ranking(g)
-    cuts = [(rank[j], _relabel(hood, rank)) for j, hood in cuts]
+    order, masks = _ranking(g)
     threshold = spec.problem is Problem.MQC
     k = spec.k
     if threshold:
@@ -482,10 +473,6 @@ def search(
             chosen, pool, edges = stack.pop()
             nodes += 1
             budget.tick()
-            if cuts and any(
-                chosen >> j & 1 and not (chosen | pool) & hood for j, hood in cuts
-            ):
-                continue
             size = chosen.bit_count()
             if threshold:
                 scores = size > best and meets_density(edges, size, spec.gamma)
@@ -493,9 +480,7 @@ def search(
                 scores = size == k and edges > best
             if scores:
                 found = tuple(sorted(order[r] for r in _mask_members(chosen)))
-                if (not spec.connected or is_connected(g, found)) and all(
-                    not chosen >> j & 1 or chosen & hood for j, hood in cuts
-                ):
+                if not spec.connected or is_connected(g, found):
                     best, members = size if threshold else edges, found
             if size == k or not pool:
                 continue

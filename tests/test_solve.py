@@ -458,7 +458,24 @@ class TestSearchAgainstEnumeration:
             assert_answer(g, spec, branch_and_bound(g, spec), brute_force(g, spec))
         spec = ProblemSpec.dks(k, mode=Connectivity.LAZY)
         exact = brute_force(g, ProblemSpec.dks(k, mode=Connectivity.CFLOW))
-        assert_answer(g, spec, solve_lazy(g, k, engine="bnb"), exact)
+        lazy = solve_lazy(g, k, engine="bnb")
+        assert_answer(g, spec, lazy, exact)
+        assert lazy.cut_rounds <= 1
+
+    def test_one_cut_round_answers(self):
+        # The unconstrained optimum is disconnected; the round after its cuts
+        # must answer exactly, where re-solving under the cuts alone needs a
+        # second round.
+        g = Graph.build(
+            9, [(0, 7), (0, 8), (1, 4), (1, 8), (2, 3), (2, 6), (3, 6), (5, 6)]
+        )
+        exact = brute_force(g, ProblemSpec.dks(5, mode=Connectivity.CFLOW))
+        assert exact.objective == 4
+        solution = solve_lazy(g, 5)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.vertices == (0, 1, 4, 7, 8)
+        assert solution.objective == exact.objective
+        assert solution.cut_rounds == 1
 
     def test_cut_rounds_under_a_hub_led_order(self):
         # A triangle on 0, 2, 3 and a star centred on 4: the branching order
