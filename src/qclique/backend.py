@@ -53,8 +53,9 @@ class BackendConfig:
 
     command is a template such as "highs {model} {solution} {timelimit}";
     solution_path overrides where the output file is expected (default: next
-    to the model file). The time limit is passed to the process and also
-    enforced as a hard wall-clock kill.
+    to the model file); a file already there is deleted before the process
+    starts. The time limit is passed to the process and also enforced as a
+    hard wall-clock kill.
     """
 
     command: str
@@ -122,6 +123,11 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
                 "timelimit": str(cfg.time_limit),
             },
         )
+        # A file left from an earlier run must not pass for this run's answer.
+        try:
+            solution_path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise BackendProcessError(f"cannot clear the solution path: {exc}") from None
         try:
             run = subprocess.run(
                 argv, capture_output=True, text=True, timeout=cfg.time_limit

@@ -21,10 +21,7 @@ from .formulations import (
     FormulationError,
     Problem,
     ProblemSpec,
-    add_cstree,
     build_certificate,
-    build_f3,
-    build_m1,
     indicator_assignment,
 )
 from .graphs import (
@@ -144,10 +141,10 @@ def _certificate_line(g: Graph, vertices: tuple[int, ...]) -> str:
         return "certificate: none (disconnected)"
     size = len(vertices)
     if size == 1:
-        model, layout = build_f3(g, Fraction(1), 1, 1)
+        spec = ProblemSpec.mqc(1, mode=Connectivity.CSTREE, bounds=(1, 1))
     else:
-        model, layout = build_m1(g, size)
-    model, layout = add_cstree(model, layout, g, size)
+        spec = ProblemSpec.dks(size, mode=Connectivity.CSTREE)
+    model, layout = build_problem_model(g, spec)
     witness = build_certificate(g, vertices, Connectivity.CSTREE, u=size)
     assignment = dict(indicator_assignment(layout, vertices))
     assignment.update(witness.assignment)

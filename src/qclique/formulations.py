@@ -227,6 +227,37 @@ def _edge_upper_bound(count: int) -> Fraction:
     return Fraction(count * (count - 1), 2)
 
 
+def _base(
+    g: Graph, metadata: dict[str, str]
+) -> tuple[LinearModel, tuple[str, ...], dict[tuple[int, int], str]]:
+    """A model holding the binary x_i per vertex and the y_i_j in [0, 1] per
+    edge that both base formulations share."""
+    model = LinearModel({**metadata, "graph": g.fingerprint()})
+    x = tuple(f"x_{i}" for i in range(g.n))
+    for name in x:
+        model.add_variable(name, BINARY)
+    y: dict[tuple[int, int], str] = {}
+    for i, j in g.edges:
+        name = f"y_{i}_{j}"
+        y[(i, j)] = name
+        model.add_variable(name, CONTINUOUS, 0, 1)
+    return model, x, y
+
+
+def _cap_rows(
+    model: LinearModel,
+    g: Graph,
+    x: tuple[str, ...],
+    y: Mapping[tuple[int, int], str],
+    first: str,
+    second: str,
+) -> None:
+    """Cap each edge indicator by both endpoints: y_ij <= x_i and y_ij <= x_j."""
+    for i, j in g.edges:
+        model.add_constraint({y[(i, j)]: 1, x[i]: -1}, "<=", 0, f"{first}:e={i}_{j}")
+        model.add_constraint({y[(i, j)]: 1, x[j]: -1}, "<=", 0, f"{second}:e={i}_{j}")
+
+
 def build_m1(g: Graph, k: int) -> tuple[LinearModel, VariableLayout]:
     """Fixed-cardinality model: pick exactly k vertices, maximize edges.
 
@@ -239,26 +270,10 @@ def build_m1(g: Graph, k: int) -> tuple[LinearModel, VariableLayout]:
         raise FormulationError(f"k must be an integer, got {k!r}")
     if not 2 <= k <= g.n:
         raise FormulationError(f"k={k} outside [2, {g.n}]")
-    model = LinearModel(
-        {"formulation": "m1", "k": str(k), "graph": g.fingerprint()}
-    )
-    x = tuple(f"x_{i}" for i in range(g.n))
-    for name in x:
-        model.add_variable(name, BINARY)
-    y: dict[tuple[int, int], str] = {}
-    for i, j in g.edges:
-        name = f"y_{i}_{j}"
-        y[(i, j)] = name
-        model.add_variable(name, CONTINUOUS, 0, 1)
+    model, x, y = _base(g, {"formulation": "m1", "k": str(k)})
     model.set_objective({name: 1 for name in y.values()})
     model.add_constraint({name: 1 for name in x}, "=", k, "Eq1a")
-    for i, j in g.edges:
-        model.add_constraint(
-            {y[(i, j)]: 1, x[i]: -1}, "<=", 0, f"Eq1b:e={i}_{j}"
-        )
-        model.add_constraint(
-            {y[(i, j)]: 1, x[j]: -1}, "<=", 0, f"Eq1c:e={i}_{j}"
-        )
+    _cap_rows(model, g, x, y, "Eq1b", "Eq1c")
     layout = VariableLayout(
         graph_fingerprint=g.fingerprint(),
         kind="m1",
@@ -297,22 +312,9 @@ def build_f3(
         raise FormulationError(
             f"bounds ({lower}, {upper}) outside 1 <= lower <= upper <= {g.n}"
         )
-    model = LinearModel(
-        {
-            "formulation": "f3",
-            "gamma": str(gamma),
-            "bounds": f"{lower}_{upper}",
-            "graph": g.fingerprint(),
-        }
+    model, x, y = _base(
+        g, {"formulation": "f3", "gamma": str(gamma), "bounds": f"{lower}_{upper}"}
     )
-    x = tuple(f"x_{i}" for i in range(g.n))
-    for name in x:
-        model.add_variable(name, BINARY)
-    y: dict[tuple[int, int], str] = {}
-    for i, j in g.edges:
-        name = f"y_{i}_{j}"
-        y[(i, j)] = name
-        model.add_variable(name, CONTINUOUS, 0, 1)
     z: dict[int, str] = {}
     for t in range(lower, upper + 1):
         name = f"z_{t}"
@@ -328,13 +330,7 @@ def build_f3(
         size_terms[name] = Fraction(-t)
     model.add_constraint(size_terms, "=", 0, "Eq2b")
     model.add_constraint({name: 1 for name in z.values()}, "=", 1, "Eq2c")
-    for i, j in g.edges:
-        model.add_constraint(
-            {y[(i, j)]: 1, x[i]: -1}, "<=", 0, f"Eq2d:e={i}_{j}"
-        )
-        model.add_constraint(
-            {y[(i, j)]: 1, x[j]: -1}, "<=", 0, f"Eq2e:e={i}_{j}"
-        )
+    _cap_rows(model, g, x, y, "Eq2d", "Eq2e")
     layout = VariableLayout(
         graph_fingerprint=g.fingerprint(),
         kind="f3",
@@ -379,6 +375,20 @@ def _require_base(
         raise FormulationError(f"{op}: model was built over a different graph")
 
 
+def _source_rows(
+    model: LinearModel, g: Graph, x: tuple[str, ...], prefix: str, family: str
+) -> dict[int, str]:
+    """One binary source indicator per vertex: exactly one is set (row
+    <family>a), and only on a selected vertex (rows <family>b)."""
+    source = {i: f"{prefix}_{i}" for i in range(g.n)}
+    for name in source.values():
+        model.add_variable(name, BINARY)
+    model.add_constraint({name: 1 for name in source.values()}, "=", 1, f"{family}a")
+    for i in range(g.n):
+        model.add_constraint({source[i]: 1, x[i]: -1}, "<=", 0, f"{family}b:i={i}")
+    return source
+
+
 def add_mpr(
     model: LinearModel, layout: VariableLayout, g: Graph, u: int
 ) -> tuple[LinearModel, VariableLayout]:
@@ -399,22 +409,14 @@ def add_mpr(
             f"{layout.bounds[1]}"
         )
     x = layout.x
-    source: dict[int, str] = {}
-    for i in range(g.n):
-        name = f"c_{i}"
-        source[i] = name
-        model.add_variable(name, BINARY)
+    source = _source_rows(model, g, x, "c", "Eq3")
     edge_flow: dict[tuple[int, int], str] = {}
     for i, j in g.edges:
         name = f"fe_{i}_{j}"
         edge_flow[(i, j)] = name
         model.add_variable(name, CONTINUOUS, None, None)
-    model.add_constraint({name: 1 for name in source.values()}, "=", 1, "Eq3a")
-    for i in range(g.n):
-        model.add_constraint(
-            {source[i]: 1, x[i]: -1}, "<=", 0, f"Eq3b:i={i}"
-        )
     uq = Fraction(u)
+    minus_x = {name: Fraction(-1) for name in x}
     for i in range(g.n):
         net: dict[str, Fraction] = {}
         for j in g.neighbors[i]:
@@ -422,34 +424,16 @@ def add_mpr(
                 net[edge_flow[(i, j)]] = Fraction(1)
             else:
                 net[edge_flow[(j, i)]] = Fraction(-1)
-        all_x = {name: Fraction(-1) for name in x}
-        lower_src = dict(net)
-        for name, coef in all_x.items():
-            lower_src[name] = lower_src.get(name, Fraction(0)) + coef
-        lower_src[source[i]] = lower_src.get(source[i], Fraction(0)) - uq
-        model.add_constraint(lower_src, ">=", -1 - uq, f"Eq3c:i={i}")
-        upper_src = dict(net)
-        for name, coef in all_x.items():
-            upper_src[name] = upper_src.get(name, Fraction(0)) + coef
-        upper_src[source[i]] = upper_src.get(source[i], Fraction(0)) + uq
-        model.add_constraint(upper_src, "<=", uq - 1, f"Eq3d:i={i}")
-        lower_other = dict(net)
-        lower_other[source[i]] = lower_other.get(source[i], Fraction(0)) + uq
-        lower_other[x[i]] = lower_other.get(x[i], Fraction(0)) - uq
-        model.add_constraint(lower_other, ">=", -1 - uq, f"Eq3e:i={i}")
-        upper_other = dict(net)
-        upper_other[source[i]] = upper_other.get(source[i], Fraction(0)) - uq
-        upper_other[x[i]] = upper_other.get(x[i], Fraction(0)) + uq
-        model.add_constraint(upper_other, "<=", uq - 1, f"Eq3f:i={i}")
+        c = source[i]
+        model.add_constraint({**net, **minus_x, c: -uq}, ">=", -1 - uq, f"Eq3c:i={i}")
+        model.add_constraint({**net, **minus_x, c: uq}, "<=", uq - 1, f"Eq3d:i={i}")
+        model.add_constraint({**net, c: uq, x[i]: -uq}, ">=", -1 - uq, f"Eq3e:i={i}")
+        model.add_constraint({**net, c: -uq, x[i]: uq}, "<=", uq - 1, f"Eq3f:i={i}")
     cap = uq - 1
     for i, j in g.edges:
-        flow = edge_flow[(i, j)]
-        model.add_constraint(
-            {flow: 1, layout.y[(i, j)]: cap}, ">=", 0, f"Eq3g:e={i}_{j}"
-        )
-        model.add_constraint(
-            {flow: 1, layout.y[(i, j)]: -cap}, "<=", 0, f"Eq3h:e={i}_{j}"
-        )
+        flow, y = edge_flow[(i, j)], layout.y[(i, j)]
+        model.add_constraint({flow: 1, y: cap}, ">=", 0, f"Eq3g:e={i}_{j}")
+        model.add_constraint({flow: 1, y: -cap}, "<=", 0, f"Eq3h:e={i}_{j}")
     new_layout = replace(
         layout,
         connectivity=Connectivity.MPR,
@@ -460,9 +444,7 @@ def add_mpr(
 
 
 def _arc_name(prefix: str, arc: tuple[int, int], root: int | None) -> str:
-    a, b = arc
-    left = "r" if root is not None and a == root else str(a)
-    return f"{prefix}_{left}_{b}"
+    return f"{prefix}_{_arc_tag(arc, root)}"
 
 
 def _arc_tag(arc: tuple[int, int], root: int | None) -> str:
@@ -591,43 +573,24 @@ def add_cflow(
         raise FormulationError(
             f"add_cflow: k={k} differs from the model's cardinality {layout.k}"
         )
-    x = layout.x
-    source: dict[int, str] = {}
-    for i in range(g.n):
-        name = f"s_{i}"
-        source[i] = name
-        model.add_variable(name, BINARY)
+    source = _source_rows(model, g, layout.x, "s", "Eq6")
     arcs = oriented_arcs(g, rooted=False)
     arc_flow: dict[tuple[int, int], str] = {}
     for arc in arcs.arcs:
         name = _arc_name("fd", arc, None)
         arc_flow[arc] = name
         model.add_variable(name, CONTINUOUS, 0, None)
-    model.add_constraint({name: 1 for name in source.values()}, "=", 1, "Eq6a")
-    for i in range(g.n):
-        model.add_constraint(
-            {source[i]: 1, x[i]: -1}, "<=", 0, f"Eq6b:i={i}"
-        )
     kq = Fraction(k)
     for i, j in g.edges:
-        model.add_constraint(
-            {arc_flow[(i, j)]: 1, layout.y[(i, j)]: -kq},
-            "<=",
-            0,
-            f"Eq6c:e={i}_{j}",
-        )
-        model.add_constraint(
-            {arc_flow[(j, i)]: 1, layout.y[(i, j)]: -kq},
-            "<=",
-            0,
-            f"Eq6d:e={i}_{j}",
-        )
+        y = layout.y[(i, j)]
+        model.add_constraint({arc_flow[(i, j)]: 1, y: -kq}, "<=", 0, f"Eq6c:e={i}_{j}")
+        model.add_constraint({arc_flow[(j, i)]: 1, y: -kq}, "<=", 0, f"Eq6d:e={i}_{j}")
     for i in range(g.n):
         balance: dict[str, Fraction] = {}
         for j in g.neighbors[i]:
             balance[arc_flow[(j, i)]] = Fraction(1)
             balance[arc_flow[(i, j)]] = Fraction(-1)
-        balance[x[i]] = Fraction(-1)
+        balance[layout.x[i]] = Fraction(-1)
         balance[source[i]] = kq
         model.add_constraint(balance, "=", 0, f"Eq6e:i={i}")
     new_layout = replace(

@@ -9,7 +9,6 @@ the package works on the repacked ids.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -231,30 +230,50 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def mask_members(mask: int) -> tuple[int, ...]:
+    """The vertices of a bitmask, ascending."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
+def reach(masks: tuple[int, ...], within: int, seed: int) -> int:
+    """Vertices reachable from the seed bits inside the `within` mask, given
+    each vertex's neighbor mask."""
+    seen = seed
+    frontier = seed
+    while frontier:
+        grown = 0
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            grown |= masks[low.bit_length() - 1]
+            rest ^= low
+        frontier = grown & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _set_mask(g: Graph, s: Iterable[int]) -> int:
+    """A validated vertex set as a bitmask."""
+    return sum(1 << v for v in check_vertex_set(g, s))
+
+
 def components(g: Graph, s: Iterable[int] | None = None) -> list[tuple[int, ...]]:
     """Connected components of the subgraph induced by s (default: all).
 
     Returns sorted tuples ordered by their smallest member. The empty set has
     no components.
     """
-    members = check_vertex_set(g, range(g.n) if s is None else s)
-    in_s = set(members)
-    seen: set[int] = set()
+    rest = _set_mask(g, range(g.n) if s is None else s)
     out: list[tuple[int, ...]] = []
-    for v in members:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors[u]:
-                if w in in_s and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        out.append(tuple(sorted(comp)))
+    while rest:
+        part = reach(g.masks, rest, rest & -rest)
+        out.append(mask_members(part))
+        rest ^= part
     return out
 
 
@@ -263,17 +282,14 @@ def is_connected(g: Graph, s: Iterable[int] | None = None) -> bool:
 
     Empty and singleton sets count as connected.
     """
-    return len(components(g, s)) <= 1
+    within = _set_mask(g, range(g.n) if s is None else s)
+    return reach(g.masks, within, within & -within) == within
 
 
 def induced_edge_count(g: Graph, s: Iterable[int]) -> int:
-    members = set(check_vertex_set(g, s))
-    count = 0
-    for v in members:
-        for w in g.neighbors[v]:
-            if w > v and w in members:
-                count += 1
-    return count
+    within = _set_mask(g, s)
+    masks = g.masks
+    return sum((masks[v] & within).bit_count() for v in mask_members(within)) // 2
 
 
 def density(g: Graph, s: Iterable[int]) -> Fraction:
@@ -289,13 +305,11 @@ def density(g: Graph, s: Iterable[int]) -> Fraction:
 
 def boundary_neighbors(g: Graph, c: Iterable[int]) -> tuple[int, ...]:
     """Vertices outside c adjacent to at least one member of c."""
-    inside = set(check_vertex_set(g, c))
-    out: set[int] = set()
-    for v in inside:
-        for w in g.neighbors[v]:
-            if w not in inside:
-                out.add(w)
-    return tuple(sorted(out))
+    inside = _set_mask(g, c)
+    hood = 0
+    for v in mask_members(inside):
+        hood |= g.masks[v]
+    return mask_members(hood & ~inside)
 
 
 def largest_component(g: Graph) -> tuple[Graph, dict[int, int]]:

@@ -28,10 +28,10 @@ from statistics import fmean, pstdev
 from typing import Callable
 
 from .backend import BackendConfig
-from .driver import solve_problem
+from .driver import ENGINES, solve_problem
 from .formulations import Connectivity, FormulationError, Problem, ProblemSpec
 from .graphs import Graph, is_connected, largest_component
-from .solve import Limits, SolveStatus
+from .solve import Limits, SolveError, SolveStatus
 
 logger = logging.getLogger(__name__)
 
@@ -62,15 +62,15 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.name.strip():
             raise GridError("grid needs a nonempty instance name")
-        if self.time_limit <= 0:
-            raise GridError(f"time limit must be positive, got {self.time_limit}")
-        if self.memory_bytes <= 0:
+        if isinstance(self.engine, str) and self.engine not in ENGINES:
             raise GridError(
-                f"memory limit must be positive, got {self.memory_bytes}"
+                f"unknown engine {self.engine!r}: expected one of {ENGINES} "
+                "or a BackendConfig"
             )
         try:
+            Limits(time_seconds=self.time_limit, memory_bytes=self.memory_bytes)
             self.cell_spec(self.probe_param())
-        except FormulationError as exc:
+        except (FormulationError, SolveError) as exc:
             raise GridError(str(exc)) from None
 
     def probe_param(self):
@@ -189,9 +189,7 @@ def _solve_cell(
     go to this module's logger at WARNING.
     """
     rendered = spec.render_param(param)
-    limits = Limits(
-        time_seconds=spec.time_limit, memory_bytes=spec.memory_bytes
-    )
+    limits = Limits(time_seconds=spec.time_limit, memory_bytes=spec.memory_bytes)
     started = clock()
     try:
         solution = solve_problem(g, spec.cell_spec(param), spec.engine, limits)

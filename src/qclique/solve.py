@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .formulations import Problem, ProblemSpec
-from .graphs import Graph, induced_edge_count, is_connected
+from .graphs import Graph, induced_edge_count, is_connected, mask_members, reach
 
 
 class SolveError(ValueError):
@@ -131,31 +131,6 @@ def _resident_bytes() -> int:
         return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(members)
-
-
-def _connected_mask(masks: tuple[int, ...], within: int, seed: int) -> int:
-    """Vertices reachable from the seed bit inside the `within` mask."""
-    seen = seed
-    frontier = seed
-    while frontier:
-        grown = 0
-        rest = frontier
-        while rest:
-            low = rest & -rest
-            grown |= masks[low.bit_length() - 1]
-            rest ^= low
-        frontier = grown & within & ~seen
-        seen |= frontier
-    return seen
-
-
 def brute_force(g: Graph, spec: ProblemSpec) -> Solution:
     """Exhaustive optimum with lexicographically smallest tie-breaking.
 
@@ -203,7 +178,7 @@ def _brute_threshold(g: Graph, spec: ProblemSpec) -> Solution:
             continue
         if not meets_density(edges, size, gamma):
             continue
-        members = _mask_members(current)
+        members = mask_members(current)
         if size == best_size and members >= best:
             continue
         if spec.connected and not is_connected(g, members):
@@ -239,7 +214,7 @@ _MEMO_GRAPHS = 8
 
 def _relabel(mask: int, label: Sequence[int]) -> int:
     """The mask with each vertex v moved to bit label[v]."""
-    return sum(1 << label[v] for v in _mask_members(mask))
+    return sum(1 << label[v] for v in mask_members(mask))
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
@@ -272,7 +247,7 @@ def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
         if not pool:
             break
         nxt = max(
-            _mask_members(pool),
+            mask_members(pool),
             key=lambda v: ((masks[v] & inside).bit_count(), -v),
         )
         chosen.append(nxt)
@@ -304,69 +279,53 @@ def _peeling_sequence(g: Graph) -> list[tuple[int, int, int]]:
 
 @dataclass(frozen=True)
 class _Seeds:
-    """The warm-start inputs of one graph and connectedness flavor.
+    """The warm-start candidates of one graph and connectedness flavor, as
+    (mask, size, edges) in offer order.
 
-    greedy is the greedy sequence and prefix_edges[i] the edge count inside
-    its first i + 1 vertices. greedy_sets (its prefixes) and peeling_sets
-    (the peeling states) are the candidates a threshold warm start offers,
-    in offer order, as (mask, size, edges). The connected flavor leaves out
-    every disconnected candidate, which it could never record.
+    prefixes holds the greedy sequence's prefixes, prefixes[i] the first
+    i + 1 vertices; the connected greedy sequence grows through neighbors,
+    so each of them is connected. peels holds the min-degree peeling states,
+    and in the connected flavor only the connected ones, since the search
+    could never record the others.
     """
 
-    greedy: tuple[int, ...]
-    prefix_edges: tuple[int, ...]
-    greedy_sets: tuple[tuple[int, int, int], ...]
-    peeling_sets: tuple[tuple[int, int, int], ...]
+    prefixes: tuple[tuple[int, int, int], ...]
+    peels: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
 def _seeds(g: Graph, connected: bool) -> _Seeds:
     """The gamma-free seeds of a graph, worked out once for every cell."""
     masks = g.masks
-    greedy = tuple(_greedy_sequence(g, connected))
-    prefix_edges, greedy_sets = [], []
+    prefixes = []
     prefix, edges = 0, 0
-    for v in greedy:
+    for v in _greedy_sequence(g, connected):
         edges += (masks[v] & prefix).bit_count()
         prefix |= 1 << v
-        prefix_edges.append(edges)
-        greedy_sets.append((prefix, len(prefix_edges), edges))
-
-    def offered(sets: list[tuple[int, int, int]]) -> tuple[tuple[int, int, int], ...]:
-        if not connected:
-            return tuple(sets)
-        return tuple(
-            c for c in sets if _connected_mask(masks, c[0], c[0] & -c[0]) == c[0]
-        )
-
-    return _Seeds(
-        greedy,
-        tuple(prefix_edges),
-        offered(greedy_sets),
-        offered(_peeling_sequence(g)),
+        prefixes.append((prefix, len(prefixes) + 1, edges))
+    peels = tuple(
+        c
+        for c in _peeling_sequence(g)
+        if not connected or reach(masks, c[0], c[0] & -c[0]) == c[0]
     )
+    return _Seeds(tuple(prefixes), peels)
 
 
 def _warm_threshold(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
-    gamma = spec.gamma
     seeds = _seeds(g, spec.connected)
-    candidates = seeds.greedy_sets
-    # Density is preserved under minimum-degree peeling only from gamma 1/2
-    # up, so the peeling states are offered as seeds just in that regime.
-    if gamma >= Fraction(1, 2):
-        candidates += seeds.peeling_sets
     best_size, best = 0, 0
-    for mask, size, edges in candidates:
-        if size > best_size and meets_density(edges, size, gamma):
+    for mask, size, edges in seeds.prefixes + seeds.peels:
+        if size > best_size and meets_density(edges, size, spec.gamma):
             best_size, best = size, mask
-    return best_size, _mask_members(best)
+    return best_size, mask_members(best)
 
 
 def _warm_fixed(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...] | None]:
-    seeds = _seeds(g, spec.connected)
-    if len(seeds.greedy) < spec.k:
+    prefixes = _seeds(g, spec.connected).prefixes
+    if len(prefixes) < spec.k:
         return -1, None
-    return seeds.prefix_edges[spec.k - 1], tuple(sorted(seeds.greedy[: spec.k]))
+    mask, _, edges = prefixes[spec.k - 1]
+    return edges, mask_members(mask)
 
 
 def branch_and_bound(
@@ -439,13 +398,13 @@ def search(
     the pool's lowest set bit is the branching vertex, include branch first.
     The spec sets the record rule: for the density threshold a chosen set
     that meets gamma scores its size; for fixed cardinality a chosen set of
-    exactly k vertices scores its edges and is a leaf. A scoring set, mapped
-    back to sorted original ids, replaces the incumbent (objective, vertices)
-    only if it beats it and is connected when the spec asks for it. A node
-    is pruned when completion_bounds leaves no completion that can beat the
-    incumbent (for the threshold: no target size whose bound meets gamma),
-    and in connected variants when chosen spans two components of
-    chosen | pool.
+    exactly k vertices scores its edges and is a leaf. A scoring set replaces
+    the incumbent (objective, vertices) only if it beats it and is connected
+    when the spec asks for it; only then is it mapped back to sorted
+    original ids. A node is pruned when completion_bounds leaves no
+    completion that can beat the incumbent (for the threshold: no target
+    size whose bound meets gamma), and in connected variants when chosen
+    spans two components of chosen | pool.
 
     Each node also gets a budget of missing pairs. For the threshold, a
     better set misses at most C(top, 2) - ceil(gamma * C(top, 2)) pairs,
@@ -478,14 +437,15 @@ def search(
                 scores = size > best and meets_density(edges, size, spec.gamma)
             else:
                 scores = size == k and edges > best
-            if scores:
-                found = tuple(sorted(order[r] for r in _mask_members(chosen)))
-                if not spec.connected or is_connected(g, found):
-                    best, members = size if threshold else edges, found
+            if scores and (
+                not spec.connected or reach(masks, chosen, chosen & -chosen) == chosen
+            ):
+                best = size if threshold else edges
+                members = tuple(sorted(order[r] for r in mask_members(chosen)))
             if size == k or not pool:
                 continue
             if spec.connected and chosen:
-                component = _connected_mask(masks, chosen | pool, chosen & -chosen)
+                component = reach(masks, chosen | pool, chosen & -chosen)
                 if chosen & ~component:
                     continue
                 pool &= component

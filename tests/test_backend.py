@@ -156,6 +156,26 @@ class TestSolveExternal:
         with pytest.raises(BackendProcessError, match="no solution file"):
             solve_external(model, BackendConfig(command=command))
 
+    def test_stale_solution_file_is_not_an_answer(self, tmp_path, triangle):
+        model, _ = build_m1(triangle, 3)
+        target = tmp_path / "out.sol"
+        first = solve_external(
+            model, BackendConfig(command=HIGHS_BACKEND, solution_path=str(target))
+        )
+        assert first.status is SolveStatus.OPTIMAL
+        assert target.exists()
+        silent = f"{sys.executable} -c pass {{model}} {{solution}} {{timelimit}}"
+        with pytest.raises(BackendProcessError, match="no solution file"):
+            solve_external(
+                model, BackendConfig(command=silent, solution_path=str(target))
+            )
+
+    def test_solution_path_that_cannot_be_cleared(self, tmp_path, triangle):
+        model, _ = build_m1(triangle, 3)
+        cfg = BackendConfig(command=HIGHS_BACKEND, solution_path=str(tmp_path))
+        with pytest.raises(BackendProcessError):
+            solve_external(model, cfg)
+
     def test_unusable_solution_file(self, tmp_path, triangle):
         model, _ = build_m1(triangle, 3)
         command = scripted(

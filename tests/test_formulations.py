@@ -28,6 +28,7 @@ from qclique.formulations import (
     lazy_cuts,
 )
 from qclique.graphs import Graph, is_connected
+from qclique.lpio import export_lp
 from qclique.milp import BINARY
 
 
@@ -594,3 +595,288 @@ class TestOptimaThroughModels:
         _, layout = build_f3(path3, Fraction(1), 1, 2)
         with pytest.raises(FormulationError, match="outside the layout's bounds"):
             indicator_assignment(layout, (0, 1, 2))
+
+
+# The exact LP text of each builder and add-on on path3 (m1 at k=2, f3 at
+# gamma=1/2 with bounds (1, 3)): variable order, row order and term order.
+PATH3_LP = {
+    "m1": r"""\ linear model
+\ meta formulation=m1
+\ meta k=2
+\ meta graph=n3m2-2557abffc2ed
+Maximize
+ obj: + 1 y_0_1 + 1 y_1_2
+Subject To
+ c_Eq1a: + 1 x_0 + 1 x_1 + 1 x_2 = 2
+ c_Eq1b_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
+ c_Eq1c_e_0_1: + 1 y_0_1 - 1 x_1 <= 0
+ c_Eq1b_e_1_2: + 1 y_1_2 - 1 x_1 <= 0
+ c_Eq1c_e_1_2: + 1 y_1_2 - 1 x_2 <= 0
+Bounds
+ 0 <= y_0_1 <= 1
+ 0 <= y_1_2 <= 1
+Binaries
+ x_0
+ x_1
+ x_2
+End
+""",
+    "m1+cstree": r"""\ linear model
+\ meta formulation=m1
+\ meta k=2
+\ meta graph=n3m2-2557abffc2ed
+Maximize
+ obj: + 1 y_0_1 + 1 y_1_2
+Subject To
+ c_Eq1a: + 1 x_0 + 1 x_1 + 1 x_2 = 2
+ c_Eq1b_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
+ c_Eq1c_e_0_1: + 1 y_0_1 - 1 x_1 <= 0
+ c_Eq1b_e_1_2: + 1 y_1_2 - 1 x_1 <= 0
+ c_Eq1c_e_1_2: + 1 y_1_2 - 1 x_2 <= 0
+ c_Eq5a_j_0: + 1 v_1_0 + 1 v_r_0 - 1 x_0 = 0
+ c_Eq5a_j_1: + 1 v_0_1 + 1 v_2_1 + 1 v_r_1 - 1 x_1 = 0
+ c_Eq5a_j_2: + 1 v_1_2 + 1 v_r_2 - 1 x_2 = 0
+ c_Eq5b: + 1 v_r_0 + 1 v_r_1 + 1 v_r_2 = 1
+ c_Eq5c_j_0: + 1 fa_1_0 + 1 fa_r_0 - 1 fa_0_1 - 1 x_0 = 0
+ c_Eq5c_j_1: + 1 fa_0_1 + 1 fa_2_1 + 1 fa_r_1 - 1 fa_1_0 - 1 fa_1_2 - 1 x_1 = 0
+ c_Eq5c_j_2: + 1 fa_1_2 + 1 fa_r_2 - 1 fa_2_1 - 1 x_2 = 0
+ c_Eq5d_a_0_1: + 1 fa_0_1 - 1 v_0_1 >= 0
+ c_Eq5d_a_1_0: + 1 fa_1_0 - 1 v_1_0 >= 0
+ c_Eq5d_a_1_2: + 1 fa_1_2 - 1 v_1_2 >= 0
+ c_Eq5d_a_2_1: + 1 fa_2_1 - 1 v_2_1 >= 0
+ c_Eq5d_a_r_0: + 1 fa_r_0 - 1 v_r_0 >= 0
+ c_Eq5d_a_r_1: + 1 fa_r_1 - 1 v_r_1 >= 0
+ c_Eq5d_a_r_2: + 1 fa_r_2 - 1 v_r_2 >= 0
+ c_Eq5e_a_0_1: + 1 fa_0_1 - 1 v_0_1 <= 0
+ c_Eq5e_a_1_0: + 1 fa_1_0 - 1 v_1_0 <= 0
+ c_Eq5e_a_1_2: + 1 fa_1_2 - 1 v_1_2 <= 0
+ c_Eq5e_a_2_1: + 1 fa_2_1 - 1 v_2_1 <= 0
+ c_Eq5f_j_0: + 1 fa_r_0 - 2 v_r_0 <= 0
+ c_Eq5f_j_1: + 1 fa_r_1 - 2 v_r_1 <= 0
+ c_Eq5f_j_2: + 1 fa_r_2 - 2 v_r_2 <= 0
+ c_Eq5g: + 1 fa_r_0 + 1 fa_r_1 + 1 fa_r_2 - 1 x_0 - 1 x_1 - 1 x_2 = 0
+ c_Eq5h_e_0_1: + 1 v_0_1 + 1 v_1_0 - 1 y_0_1 <= 0
+ c_Eq5h_e_1_2: + 1 v_1_2 + 1 v_2_1 - 1 y_1_2 <= 0
+Bounds
+ 0 <= y_0_1 <= 1
+ 0 <= y_1_2 <= 1
+ fa_0_1 >= 0
+ fa_1_0 >= 0
+ fa_1_2 >= 0
+ fa_2_1 >= 0
+ fa_r_0 >= 0
+ fa_r_1 >= 0
+ fa_r_2 >= 0
+Binaries
+ x_0
+ x_1
+ x_2
+ v_0_1
+ v_1_0
+ v_1_2
+ v_2_1
+ v_r_0
+ v_r_1
+ v_r_2
+End
+""",
+    "m1+cflow": r"""\ linear model
+\ meta formulation=m1
+\ meta k=2
+\ meta graph=n3m2-2557abffc2ed
+Maximize
+ obj: + 1 y_0_1 + 1 y_1_2
+Subject To
+ c_Eq1a: + 1 x_0 + 1 x_1 + 1 x_2 = 2
+ c_Eq1b_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
+ c_Eq1c_e_0_1: + 1 y_0_1 - 1 x_1 <= 0
+ c_Eq1b_e_1_2: + 1 y_1_2 - 1 x_1 <= 0
+ c_Eq1c_e_1_2: + 1 y_1_2 - 1 x_2 <= 0
+ c_Eq6a: + 1 s_0 + 1 s_1 + 1 s_2 = 1
+ c_Eq6b_i_0: + 1 s_0 - 1 x_0 <= 0
+ c_Eq6b_i_1: + 1 s_1 - 1 x_1 <= 0
+ c_Eq6b_i_2: + 1 s_2 - 1 x_2 <= 0
+ c_Eq6c_e_0_1: + 1 fd_0_1 - 2 y_0_1 <= 0
+ c_Eq6d_e_0_1: + 1 fd_1_0 - 2 y_0_1 <= 0
+ c_Eq6c_e_1_2: + 1 fd_1_2 - 2 y_1_2 <= 0
+ c_Eq6d_e_1_2: + 1 fd_2_1 - 2 y_1_2 <= 0
+ c_Eq6e_i_0: + 1 fd_1_0 - 1 fd_0_1 - 1 x_0 + 2 s_0 = 0
+ c_Eq6e_i_1: + 1 fd_0_1 - 1 fd_1_0 + 1 fd_2_1 - 1 fd_1_2 - 1 x_1 + 2 s_1 = 0
+ c_Eq6e_i_2: + 1 fd_1_2 - 1 fd_2_1 - 1 x_2 + 2 s_2 = 0
+Bounds
+ 0 <= y_0_1 <= 1
+ 0 <= y_1_2 <= 1
+ fd_0_1 >= 0
+ fd_1_0 >= 0
+ fd_1_2 >= 0
+ fd_2_1 >= 0
+Binaries
+ x_0
+ x_1
+ x_2
+ s_0
+ s_1
+ s_2
+End
+""",
+    "f3": r"""\ linear model
+\ meta formulation=f3
+\ meta gamma=1/2
+\ meta bounds=1_3
+\ meta graph=n3m2-2557abffc2ed
+Maximize
+ obj: + 1 x_0 + 1 x_1 + 1 x_2
+Subject To
+ c_Eq2a: + 1 y_0_1 + 1 y_1_2 - 0.5 z_2 - 1.5 z_3 >= 0
+ c_Eq2b: + 1 x_0 + 1 x_1 + 1 x_2 - 1 z_1 - 2 z_2 - 3 z_3 = 0
+ c_Eq2c: + 1 z_1 + 1 z_2 + 1 z_3 = 1
+ c_Eq2d_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
+ c_Eq2e_e_0_1: + 1 y_0_1 - 1 x_1 <= 0
+ c_Eq2d_e_1_2: + 1 y_1_2 - 1 x_1 <= 0
+ c_Eq2e_e_1_2: + 1 y_1_2 - 1 x_2 <= 0
+Bounds
+ 0 <= y_0_1 <= 1
+ 0 <= y_1_2 <= 1
+ 0 <= z_1 <= 1
+ 0 <= z_2 <= 1
+ 0 <= z_3 <= 1
+Binaries
+ x_0
+ x_1
+ x_2
+End
+""",
+    "f3+mpr": r"""\ linear model
+\ meta formulation=f3
+\ meta gamma=1/2
+\ meta bounds=1_3
+\ meta graph=n3m2-2557abffc2ed
+Maximize
+ obj: + 1 x_0 + 1 x_1 + 1 x_2
+Subject To
+ c_Eq2a: + 1 y_0_1 + 1 y_1_2 - 0.5 z_2 - 1.5 z_3 >= 0
+ c_Eq2b: + 1 x_0 + 1 x_1 + 1 x_2 - 1 z_1 - 2 z_2 - 3 z_3 = 0
+ c_Eq2c: + 1 z_1 + 1 z_2 + 1 z_3 = 1
+ c_Eq2d_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
+ c_Eq2e_e_0_1: + 1 y_0_1 - 1 x_1 <= 0
+ c_Eq2d_e_1_2: + 1 y_1_2 - 1 x_1 <= 0
+ c_Eq2e_e_1_2: + 1 y_1_2 - 1 x_2 <= 0
+ c_Eq3a: + 1 c_0 + 1 c_1 + 1 c_2 = 1
+ c_Eq3b_i_0: + 1 c_0 - 1 x_0 <= 0
+ c_Eq3b_i_1: + 1 c_1 - 1 x_1 <= 0
+ c_Eq3b_i_2: + 1 c_2 - 1 x_2 <= 0
+ c_Eq3c_i_0: + 1 fe_0_1 - 1 x_0 - 1 x_1 - 1 x_2 - 3 c_0 >= -4
+ c_Eq3d_i_0: + 1 fe_0_1 - 1 x_0 - 1 x_1 - 1 x_2 + 3 c_0 <= 2
+ c_Eq3e_i_0: + 1 fe_0_1 + 3 c_0 - 3 x_0 >= -4
+ c_Eq3f_i_0: + 1 fe_0_1 - 3 c_0 + 3 x_0 <= 2
+ c_Eq3c_i_1: - 1 fe_0_1 + 1 fe_1_2 - 1 x_0 - 1 x_1 - 1 x_2 - 3 c_1 >= -4
+ c_Eq3d_i_1: - 1 fe_0_1 + 1 fe_1_2 - 1 x_0 - 1 x_1 - 1 x_2 + 3 c_1 <= 2
+ c_Eq3e_i_1: - 1 fe_0_1 + 1 fe_1_2 + 3 c_1 - 3 x_1 >= -4
+ c_Eq3f_i_1: - 1 fe_0_1 + 1 fe_1_2 - 3 c_1 + 3 x_1 <= 2
+ c_Eq3c_i_2: - 1 fe_1_2 - 1 x_0 - 1 x_1 - 1 x_2 - 3 c_2 >= -4
+ c_Eq3d_i_2: - 1 fe_1_2 - 1 x_0 - 1 x_1 - 1 x_2 + 3 c_2 <= 2
+ c_Eq3e_i_2: - 1 fe_1_2 + 3 c_2 - 3 x_2 >= -4
+ c_Eq3f_i_2: - 1 fe_1_2 - 3 c_2 + 3 x_2 <= 2
+ c_Eq3g_e_0_1: + 1 fe_0_1 + 2 y_0_1 >= 0
+ c_Eq3h_e_0_1: + 1 fe_0_1 - 2 y_0_1 <= 0
+ c_Eq3g_e_1_2: + 1 fe_1_2 + 2 y_1_2 >= 0
+ c_Eq3h_e_1_2: + 1 fe_1_2 - 2 y_1_2 <= 0
+Bounds
+ 0 <= y_0_1 <= 1
+ 0 <= y_1_2 <= 1
+ 0 <= z_1 <= 1
+ 0 <= z_2 <= 1
+ 0 <= z_3 <= 1
+ fe_0_1 free
+ fe_1_2 free
+Binaries
+ x_0
+ x_1
+ x_2
+ c_0
+ c_1
+ c_2
+End
+""",
+    "f3+cstree": r"""\ linear model
+\ meta formulation=f3
+\ meta gamma=1/2
+\ meta bounds=1_3
+\ meta graph=n3m2-2557abffc2ed
+Maximize
+ obj: + 1 x_0 + 1 x_1 + 1 x_2
+Subject To
+ c_Eq2a: + 1 y_0_1 + 1 y_1_2 - 0.5 z_2 - 1.5 z_3 >= 0
+ c_Eq2b: + 1 x_0 + 1 x_1 + 1 x_2 - 1 z_1 - 2 z_2 - 3 z_3 = 0
+ c_Eq2c: + 1 z_1 + 1 z_2 + 1 z_3 = 1
+ c_Eq2d_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
+ c_Eq2e_e_0_1: + 1 y_0_1 - 1 x_1 <= 0
+ c_Eq2d_e_1_2: + 1 y_1_2 - 1 x_1 <= 0
+ c_Eq2e_e_1_2: + 1 y_1_2 - 1 x_2 <= 0
+ c_Eq5a_j_0: + 1 v_1_0 + 1 v_r_0 - 1 x_0 = 0
+ c_Eq5a_j_1: + 1 v_0_1 + 1 v_2_1 + 1 v_r_1 - 1 x_1 = 0
+ c_Eq5a_j_2: + 1 v_1_2 + 1 v_r_2 - 1 x_2 = 0
+ c_Eq5b: + 1 v_r_0 + 1 v_r_1 + 1 v_r_2 = 1
+ c_Eq5c_j_0: + 1 fa_1_0 + 1 fa_r_0 - 1 fa_0_1 - 1 x_0 = 0
+ c_Eq5c_j_1: + 1 fa_0_1 + 1 fa_2_1 + 1 fa_r_1 - 1 fa_1_0 - 1 fa_1_2 - 1 x_1 = 0
+ c_Eq5c_j_2: + 1 fa_1_2 + 1 fa_r_2 - 1 fa_2_1 - 1 x_2 = 0
+ c_Eq5d_a_0_1: + 1 fa_0_1 - 1 v_0_1 >= 0
+ c_Eq5d_a_1_0: + 1 fa_1_0 - 1 v_1_0 >= 0
+ c_Eq5d_a_1_2: + 1 fa_1_2 - 1 v_1_2 >= 0
+ c_Eq5d_a_2_1: + 1 fa_2_1 - 1 v_2_1 >= 0
+ c_Eq5d_a_r_0: + 1 fa_r_0 - 1 v_r_0 >= 0
+ c_Eq5d_a_r_1: + 1 fa_r_1 - 1 v_r_1 >= 0
+ c_Eq5d_a_r_2: + 1 fa_r_2 - 1 v_r_2 >= 0
+ c_Eq5e_a_0_1: + 1 fa_0_1 - 2 v_0_1 <= 0
+ c_Eq5e_a_1_0: + 1 fa_1_0 - 2 v_1_0 <= 0
+ c_Eq5e_a_1_2: + 1 fa_1_2 - 2 v_1_2 <= 0
+ c_Eq5e_a_2_1: + 1 fa_2_1 - 2 v_2_1 <= 0
+ c_Eq5f_j_0: + 1 fa_r_0 - 3 v_r_0 <= 0
+ c_Eq5f_j_1: + 1 fa_r_1 - 3 v_r_1 <= 0
+ c_Eq5f_j_2: + 1 fa_r_2 - 3 v_r_2 <= 0
+ c_Eq5g: + 1 fa_r_0 + 1 fa_r_1 + 1 fa_r_2 - 1 x_0 - 1 x_1 - 1 x_2 = 0
+ c_Eq5h_e_0_1: + 1 v_0_1 + 1 v_1_0 - 1 y_0_1 <= 0
+ c_Eq5h_e_1_2: + 1 v_1_2 + 1 v_2_1 - 1 y_1_2 <= 0
+Bounds
+ 0 <= y_0_1 <= 1
+ 0 <= y_1_2 <= 1
+ 0 <= z_1 <= 1
+ 0 <= z_2 <= 1
+ 0 <= z_3 <= 1
+ fa_0_1 >= 0
+ fa_1_0 >= 0
+ fa_1_2 >= 0
+ fa_2_1 >= 0
+ fa_r_0 >= 0
+ fa_r_1 >= 0
+ fa_r_2 >= 0
+Binaries
+ x_0
+ x_1
+ x_2
+ v_0_1
+ v_1_0
+ v_1_2
+ v_2_1
+ v_r_0
+ v_r_1
+ v_r_2
+End
+""",
+}
+
+
+class TestModelText:
+    @pytest.mark.parametrize("case", sorted(PATH3_LP))
+    def test_lp_text_is_pinned(self, path3, case):
+        base, _, addon = case.partition("+")
+        if base == "m1":
+            model, layout = build_m1(path3, 2)
+            size = 2
+        else:
+            model, layout = build_f3(path3, Fraction(1, 2), 1, 3)
+            size = 3
+        if addon:
+            add = {"cstree": add_cstree, "cflow": add_cflow, "mpr": add_mpr}[addon]
+            model, layout = add(model, layout, path3, size)
+        assert export_lp(model) == PATH3_LP[case]

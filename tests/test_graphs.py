@@ -218,6 +218,24 @@ class TestConnectivity:
         flattened = sorted(v for comp in comps for v in comp)
         assert flattened == sorted(s)
         assert is_connected(g, s) == (len(comps) <= 1)
+        # A union-find over the edges inside s, independent of the walk.
+        parent = {v: v for v in s}
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        inside = [(i, j) for i, j in g.edges if i in parent and j in parent]
+        for i, j in inside:
+            parent[root(i)] = root(j)
+        parts: dict[int, list[int]] = {}
+        for v in sorted(s):
+            parts.setdefault(root(v), []).append(v)
+        assert sorted(comps) == sorted(tuple(part) for part in parts.values())
+        assert all(list(comp) == sorted(comp) for comp in comps)
+        assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+        assert induced_edge_count(g, s) == len(inside)
 
 
 class TestBoundaryNeighbors:

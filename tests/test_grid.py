@@ -64,6 +64,12 @@ class TestGridSpec:
         with pytest.raises(GridError, match="fixed-cardinality"):
             GridSpec(name="toy", family=Problem.MQC, mode=Connectivity.CFLOW)
 
+    def test_unknown_engine_rejected_before_any_cell(self, tmp_path, triangle):
+        target = tmp_path / "cells.csv"
+        with pytest.raises(GridError, match="unknown engine 'bbn'"):
+            run_grid(triangle, GridSpec("t", Problem.DKS, engine="bbn"), target)
+        assert not target.exists()
+
 
 class TestAggregate:
     def cell(self, status="optimal", connected=True, elapsed=1.0):

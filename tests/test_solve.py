@@ -349,16 +349,14 @@ def reference_peeling(g: Graph) -> list[tuple[int, ...]]:
 
 
 def reference_warm_threshold(g: Graph, spec: ProblemSpec):
-    """Offer every greedy prefix, then (from gamma 1/2 up) every peeling
-    state; keep each larger set that meets gamma and, if asked, is
-    connected."""
+    """Offer every greedy prefix, then every peeling state; keep each
+    larger set that meets gamma and, if asked, is connected."""
     best_size, best = 0, ()
     sequence = reference_greedy(g, spec.connected)
     candidates = [
         tuple(sorted(sequence[:size])) for size in range(1, len(sequence) + 1)
     ]
-    if spec.gamma >= Fraction(1, 2):
-        candidates += reference_peeling(g)
+    candidates += reference_peeling(g)
     for members in candidates:
         if (
             len(members) > best_size
