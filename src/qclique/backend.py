@@ -10,10 +10,14 @@ Nothing a backend reports is trusted: assignments are re-checked against
 the exact model within a fixed tolerance, and objectives are recomputed
 from the graph by callers. Validation failures and process failures are
 distinct errors so that a wrong answer is never mistaken for a crash.
+
+The engine registry (ENGINES, check_engine) and the in-process HiGHS route
+(solve_in_process) live here too.
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 import subprocess
 import tempfile
@@ -25,9 +29,20 @@ from pathlib import Path
 
 from .lpio import FormatError, export_lp, export_mps, parse_solution_file
 from .milp import LinearModel
-from .solve import SolveStatus
+from .solve import SolveError, SolveStatus
 
 TOLERANCE = Fraction(1, 10**6)
+
+ENGINES = ("bnb", "brute", "milp")
+
+
+def check_engine(engine, names: tuple[str, ...] = ENGINES) -> None:
+    """Reject an engine that is neither one of names nor a BackendConfig."""
+    if isinstance(engine, str) and engine not in names:
+        raise SolveError(
+            f"unknown engine {engine!r}: expected one of {names} "
+            "or a BackendConfig"
+        )
 
 
 class BackendError(RuntimeError):
@@ -66,9 +81,9 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if not self.command.strip():
             raise BackendError("backend command is empty")
-        if self.time_limit <= 0:
+        if not 0 < self.time_limit < math.inf:
             raise BackendError(
-                f"time limit must be positive, got {self.time_limit}"
+                f"time limit must be positive and finite, got {self.time_limit}"
             )
 
 
@@ -185,22 +200,36 @@ def check_assignment(model: LinearModel, assignment: dict[str, Fraction]) -> Non
         )
 
 
-def extract_vertex_set(
-    layout, assignment: dict[str, Fraction], tol: Fraction = TOLERANCE
-) -> tuple[int, ...]:
+def extract_vertex_set(layout, assignment: dict[str, Fraction]) -> tuple[int, ...]:
     """Selected vertices from an assignment's indicator variables.
 
-    Each indicator must be integral within tol; vertices with value at least
-    one half are selected. Objectives are for the caller to recompute from
-    the graph, never to read off the assignment.
+    Each indicator must be integral within TOLERANCE; vertices with value at
+    least one half are selected. Objectives are for the caller to recompute
+    from the graph, never to read off the assignment.
     """
     chosen = []
     for vertex, name in enumerate(layout.x):
         value = assignment[name]
-        if min(abs(value), abs(value - 1)) > tol:
+        if min(abs(value), abs(value - 1)) > TOLERANCE:
             raise BackendValidationError(
                 f"indicator {name} is fractional: {float(value):.6f}"
             )
         if value >= Fraction(1, 2):
             chosen.append(vertex)
     return tuple(chosen)
+
+
+def solve_in_process(
+    model: LinearModel, layout, time_limit: float | None
+) -> tuple[SolveStatus, tuple[int, ...], int]:
+    """Solve a built model with the bundled HiGHS engine: (status, vertices,
+    nodes), with the assignment passed through check_assignment first and
+    vertices empty when there is none or the model is infeasible.
+    """
+    from .highs import solve_model
+
+    status, assignment, nodes = solve_model(model, time_limit=time_limit)
+    if assignment is None or status is SolveStatus.INFEASIBLE:
+        return status, (), nodes
+    check_assignment(model, assignment)
+    return status, extract_vertex_set(layout, assignment), nodes

@@ -141,7 +141,7 @@ def _certificate_line(g: Graph, vertices: tuple[int, ...]) -> str:
         return "certificate: none (disconnected)"
     size = len(vertices)
     if size == 1:
-        spec = ProblemSpec.mqc(1, mode=Connectivity.CSTREE, bounds=(1, 1))
+        spec = ProblemSpec.mqc(1, mode=Connectivity.CSTREE)
     else:
         spec = ProblemSpec.dks(size, mode=Connectivity.CSTREE)
     model, layout = build_problem_model(g, spec)

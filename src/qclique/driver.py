@@ -14,10 +14,12 @@ import time
 from dataclasses import replace
 
 from .backend import (
+    ENGINES,  # re-exported: the CLI and the package read driver.ENGINES
     BackendConfig,
-    check_assignment,
+    check_engine,
     extract_vertex_set,
     solve_external,
+    solve_in_process,
 )
 from .formulations import (
     Connectivity,
@@ -34,16 +36,7 @@ from .formulations import (
 from .graphs import Graph, induced_edge_count
 from .lazy import solve_lazy
 from .milp import LinearModel
-from .solve import (
-    Limits,
-    Solution,
-    SolveError,
-    SolveStatus,
-    branch_and_bound,
-    brute_force,
-)
-
-ENGINES = ("bnb", "brute", "milp")
+from .solve import Limits, Solution, SolveError, branch_and_bound, brute_force
 
 
 def build_problem_model(
@@ -64,12 +57,12 @@ def build_problem_model(
         elif spec.mode is Connectivity.CFLOW:
             model, layout = add_cflow(model, layout, g, spec.k)
         return model, layout
-    bounds = spec.bounds if spec.bounds is not None else default_bounds(g, spec.gamma)
-    model, layout = build_f3(g, spec.gamma, bounds[0], bounds[1])
+    lower, upper = default_bounds(g, spec.gamma)
+    model, layout = build_f3(g, spec.gamma, lower, upper)
     if spec.mode is Connectivity.MPR:
-        model, layout = add_mpr(model, layout, g, bounds[1])
+        model, layout = add_mpr(model, layout, g, upper)
     elif spec.mode is Connectivity.CSTREE:
-        model, layout = add_cstree(model, layout, g, bounds[1])
+        model, layout = add_cstree(model, layout, g, upper)
     return model, layout
 
 
@@ -86,11 +79,7 @@ def solve_problem(
     external process. LAZY mode always runs the separation loop, reusing
     the engine for its inner solves ("brute" falls back to "bnb" there).
     """
-    if isinstance(engine, str) and engine not in ENGINES:
-        raise SolveError(
-            f"unknown engine {engine!r}: expected one of {ENGINES} "
-            "or a BackendConfig"
-        )
+    check_engine(engine)
     spec.validate_for(g)
     if spec.mode is Connectivity.LAZY:
         inner = "bnb" if engine == "brute" else engine
@@ -110,23 +99,17 @@ def _solve_through_model(
 ) -> Solution:
     start = time.monotonic()
     model, layout = build_problem_model(g, spec)
-    nodes = 0
     if engine == "milp":
-        from .highs import solve_model
-
-        status, assignment, nodes = solve_model(model, time_limit=limits.time_seconds)
-        if assignment is not None:
-            check_assignment(model, assignment)
+        status, vertices, nodes = solve_in_process(model, layout, limits.time_seconds)
     else:
         cfg = engine
         if limits.time_seconds is not None and limits.time_seconds < cfg.time_limit:
             cfg = replace(cfg, time_limit=limits.time_seconds)
         result = solve_external(model, cfg)
-        status, assignment = result.status, result.assignment
+        status, vertices, nodes = result.status, (), 0
+        if result.assignment is not None:
+            vertices = extract_vertex_set(layout, result.assignment)
     elapsed = time.monotonic() - start
-    if assignment is None or status is SolveStatus.INFEASIBLE:
-        return Solution((), 0, status, elapsed=elapsed, nodes_explored=nodes)
-    vertices = extract_vertex_set(layout, assignment)
     if spec.problem is Problem.MQC:
         objective = len(vertices)
     else:

@@ -94,16 +94,16 @@ class Connectivity(str, Enum):
 class ProblemSpec:
     """A fully validated problem statement.
 
-    MQC carries an exact rational gamma in (0, 1] and optional size bounds
-    (used by the threshold model); DKS carries an integer k >= 2. Any mode
-    other than NONE asks for the connected variant of the base problem.
+    MQC carries an exact rational gamma in (0, 1]; DKS carries an integer
+    k >= 2. Any mode other than NONE asks for the connected variant of the
+    base problem. A spec has no size window: every engine searches all
+    sizes, and the threshold model takes default_bounds.
     """
 
     problem: Problem
     gamma: Fraction | None = None
     k: int | None = None
     mode: Connectivity = Connectivity.NONE
-    bounds: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.problem, Problem):
@@ -137,23 +137,10 @@ class ProblemSpec:
                 raise FormulationError(
                     "mode mpr applies to density-threshold problems only"
                 )
-        if self.bounds is not None:
-            if self.problem is not Problem.MQC:
-                raise FormulationError("size bounds apply to mqc only")
-            lo, hi = self.bounds
-            if not (isinstance(lo, int) and isinstance(hi, int)):
-                raise FormulationError(f"bounds must be integers, got {self.bounds!r}")
-            if not 1 <= lo <= hi:
-                raise FormulationError(f"bounds ({lo}, {hi}) must satisfy 1 <= lo <= hi")
 
     @classmethod
-    def mqc(
-        cls,
-        gamma,
-        mode: Connectivity = Connectivity.NONE,
-        bounds: tuple[int, int] | None = None,
-    ) -> "ProblemSpec":
-        return cls(Problem.MQC, gamma=gamma, mode=mode, bounds=bounds)
+    def mqc(cls, gamma, mode: Connectivity = Connectivity.NONE) -> "ProblemSpec":
+        return cls(Problem.MQC, gamma=gamma, mode=mode)
 
     @classmethod
     def dks(cls, k: int, mode: Connectivity = Connectivity.NONE) -> "ProblemSpec":
@@ -173,10 +160,6 @@ class ProblemSpec:
         """Check the graph-dependent parts (sizes against n)."""
         if self.problem is Problem.DKS and self.k > g.n:
             raise FormulationError(f"k={self.k} exceeds vertex count {g.n}")
-        if self.bounds is not None and self.bounds[1] > g.n:
-            raise FormulationError(
-                f"upper size bound {self.bounds[1]} exceeds vertex count {g.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -345,7 +328,7 @@ def build_f3(
 
 
 def default_bounds(g: Graph, gamma) -> tuple[int, int]:
-    """Default size bounds for the threshold model: (1, n).
+    """Size bounds of every threshold model built from a spec: (1, n).
 
     No tightening from gamma or degrees is attempted; the parameter is kept
     so callers need not special-case a future bound rule.

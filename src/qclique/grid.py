@@ -27,8 +27,8 @@ from pathlib import Path
 from statistics import fmean, pstdev
 from typing import Callable
 
-from .backend import BackendConfig
-from .driver import ENGINES, solve_problem
+from .backend import BackendConfig, check_engine
+from .driver import solve_problem
 from .formulations import Connectivity, FormulationError, Problem, ProblemSpec
 from .graphs import Graph, is_connected, largest_component
 from .solve import Limits, SolveError, SolveStatus
@@ -62,12 +62,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.name.strip():
             raise GridError("grid needs a nonempty instance name")
-        if isinstance(self.engine, str) and self.engine not in ENGINES:
-            raise GridError(
-                f"unknown engine {self.engine!r}: expected one of {ENGINES} "
-                "or a BackendConfig"
-            )
         try:
+            check_engine(self.engine)
             Limits(time_seconds=self.time_limit, memory_bytes=self.memory_bytes)
             self.cell_spec(self.probe_param())
         except (FormulationError, SolveError) as exc:
@@ -116,16 +112,18 @@ class GridCell:
 
     @classmethod
     def from_csv(cls, row: list[str]) -> "GridCell":
-        if len(row) != len(CSV_COLUMNS):
-            raise GridError(f"malformed grid CSV row: {row!r}")
-        return cls(
-            param=row[0],
-            status=row[1],
-            objective=int(row[2]),
-            connected=row[3] == "true",
-            elapsed=float(row[4]),
-            nodes=int(row[5]),
-        )
+        try:
+            param, status, objective, connected, elapsed, nodes = row
+            return cls(
+                param,
+                status,
+                int(objective),
+                connected == "true",
+                float(elapsed),
+                int(nodes),
+            )
+        except ValueError:
+            raise GridError(f"malformed grid CSV row: {row!r}") from None
 
 
 @dataclass(frozen=True)

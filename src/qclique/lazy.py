@@ -20,27 +20,23 @@ import logging
 import time
 from dataclasses import replace
 
+from . import backend
 from .backend import (
     BackendConfig,
-    check_assignment,
+    check_engine,
     extract_vertex_set,
     solve_external,
+    solve_in_process,
 )
 from .formulations import Connectivity, ProblemSpec, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
 from .milp import LinearConstraint
-from .solve import (
-    Limits,
-    Solution,
-    SolveError,
-    SolveStatus,
-    _Budget,
-    search,
-)
+from .solve import Limits, Solution, SolveStatus, _Budget, search
 
 logger = logging.getLogger(__name__)
 
-ENGINES = ("bnb", "milp")
+# The registry without the exhaustive oracle, which has no cut loop.
+ENGINES = tuple(name for name in backend.ENGINES if name != "brute")
 
 
 def solve_lazy(
@@ -58,11 +54,7 @@ def solve_lazy(
     counts the separation rounds that were needed. The time limit spans all
     rounds together.
     """
-    if isinstance(engine, str) and engine not in ENGINES:
-        raise SolveError(
-            f"unknown engine {engine!r}: expected one of {ENGINES} "
-            "or a BackendConfig"
-        )
+    check_engine(engine, ENGINES)
     spec = ProblemSpec.dks(k)
     spec.validate_for(g)
     start = time.monotonic()
@@ -144,13 +136,7 @@ def _solve_inner(
     for cut in pool.values():
         model.add_constraint(cut.terms, cut.sense, cut.rhs, tag=cut.tag)
     if engine == "milp":
-        from .highs import solve_model
-
-        status, assignment, nodes = solve_model(model, time_limit=remaining)
-        if assignment is None or status is SolveStatus.INFEASIBLE:
-            return status, (), nodes
-        check_assignment(model, assignment)
-        return status, extract_vertex_set(layout, assignment), nodes
+        return solve_in_process(model, layout, remaining)
     cfg = engine
     if remaining is not None and remaining < cfg.time_limit:
         cfg = replace(cfg, time_limit=remaining)

@@ -4,7 +4,8 @@ The writers are deterministic: the same model always yields the same bytes,
 and re-exporting a parsed export reproduces those bytes for models produced
 by this package's builders. Rationals with terminating decimal expansions are
 rendered as their shortest exact decimal; anything else is rounded to 17
-significant digits and recorded as a warning.
+significant digits and recorded as a warning, which export_lp and export_mps
+log at WARNING.
 
 The LP dialect is the CPLEX-style section format (Maximize / Subject To /
 Bounds / Binaries / End); MPS output is free-format with OBJSENSE MAX and
@@ -13,6 +14,7 @@ INTORG/INTEND markers. Only maximization models are supported on both sides.
 
 from __future__ import annotations
 
+import logging
 import string
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -20,6 +22,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .milp import BINARY, CONTINUOUS, LinearModel, ModelError
+
+logger = logging.getLogger(__name__)
 
 
 class FormatError(ValueError):
@@ -177,8 +181,15 @@ def lp_document(model: LinearModel) -> ExportDoc:
     )
 
 
+def _logged_text(doc: ExportDoc) -> str:
+    """The document's text, after logging each rendering warning."""
+    for warning in doc.warnings:
+        logger.warning("%s", warning)
+    return doc.text
+
+
 def export_lp(model: LinearModel) -> str:
-    return lp_document(model).text
+    return _logged_text(lp_document(model))
 
 
 def mps_document(model: LinearModel) -> ExportDoc:
@@ -243,7 +254,7 @@ def mps_document(model: LinearModel) -> ExportDoc:
 
 
 def export_mps(model: LinearModel) -> str:
-    return mps_document(model).text
+    return _logged_text(mps_document(model))
 
 
 class _Numbers(dict):

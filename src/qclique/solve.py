@@ -51,10 +51,9 @@ class Limits:
     memory_bytes: int | None = 10 * 10**9
 
     def __post_init__(self) -> None:
-        if self.time_seconds is not None and self.time_seconds <= 0:
-            raise SolveError(f"time limit must be positive, got {self.time_seconds}")
-        if self.memory_bytes is not None and self.memory_bytes <= 0:
-            raise SolveError(f"memory limit must be positive, got {self.memory_bytes}")
+        for what, value in (("time", self.time_seconds), ("memory", self.memory_bytes)):
+            if value is not None and not 0 < value < math.inf:
+                raise SolveError(f"{what} limit must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,9 @@ class TestBackendConfig:
         with pytest.raises(BackendError, match="empty"):
             BackendConfig(command="   ")
 
-    @pytest.mark.parametrize("bad", [0, -2.5])
+    # An infinite limit would reach solve_external and die converting the
+    # subprocess timeout; a NaN one would disable the kill.
+    @pytest.mark.parametrize("bad", [0, -2.5, float("nan"), float("inf")])
     def test_time_limit_must_be_positive(self, bad):
         with pytest.raises(BackendError, match="time limit"):
             BackendConfig(command="solver", time_limit=bad)

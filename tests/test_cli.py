@@ -187,6 +187,18 @@ class TestSolve:
         assert code == EXIT_LIMIT
         assert "TimeLimit" in out
 
+    @pytest.mark.parametrize("engine", ["bnb", "backend"])
+    def test_time_limit_must_be_finite(
+        self, tmp_path, capsys, triangle, engine, monkeypatch
+    ):
+        monkeypatch.setenv("QCLIQUE_BACKEND_CMD", HIGHS_BACKEND)
+        instance = write_graph(tmp_path, triangle)
+        code = main(
+            ["solve", instance, "--k", "2", "--engine", engine, "--time-limit", "nan"]
+        )
+        assert code == EXIT_INPUT
+        assert "positive and finite" in capsys.readouterr().err
+
     def test_certify_connected_optimum(self, tmp_path, capsys, two_k4s):
         code = main(
             [
@@ -349,6 +361,23 @@ class TestGrid:
         assert code == EXIT_SOLVED
         assert (tmp_path / "tri-dks.csv").exists()
         capsys.readouterr()
+
+    def test_time_limit_must_be_finite(self, tmp_path, capsys, triangle):
+        instance = write_graph(tmp_path, triangle)
+        code = main(["grid", instance, "--family", "dks", "--time-limit", "inf"])
+        assert code == EXIT_INPUT
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_torn_csv_row_exits_cleanly(self, tmp_path, capsys, triangle):
+        csv_path = tmp_path / "tri.csv"
+        csv_path.write_text(
+            "param,status,objective,connected,elapsed,nodes\n2,optimal,1,true,0.001,",
+            encoding="utf-8",
+        )
+        instance = write_graph(tmp_path, triangle)
+        code = main(["grid", instance, "--family", "dks", "--csv", str(csv_path)])
+        assert code == EXIT_INPUT
+        assert "malformed grid CSV row" in capsys.readouterr().err
 
     def test_bad_worker_count(self, tmp_path, capsys, triangle):
         code = main(

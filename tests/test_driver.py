@@ -50,11 +50,6 @@ class TestBuildProblemModel:
         assert len(model.constraints) == 3 + 2 * 3 + extra_rows
         assert layout.bounds == (1, 3)
 
-    def test_explicit_bounds_are_honored(self, triangle):
-        spec = ProblemSpec.mqc(Fraction(1, 2), bounds=(2, 3))
-        model, layout = build_problem_model(triangle, spec)
-        assert layout.bounds == (2, 3)
-
     def test_separation_mode_has_no_static_model(self, triangle):
         spec = ProblemSpec.dks(2, mode=Connectivity.LAZY)
         with pytest.raises(SolveError, match="no static model"):
@@ -156,6 +151,26 @@ class TestSolveProblem:
         assert routed.objective == exact.objective
         if routed.status is SolveStatus.OPTIMAL:
             assert induced_edge_count(g, routed.vertices) == routed.objective
+
+
+class TestOneProblemPerSpec:
+    """Every engine solves the same problem for the same spec."""
+
+    @pytest.mark.parametrize(
+        "mode, expected", [(Connectivity.NONE, 8), (Connectivity.CSTREE, 7)]
+    )
+    @pytest.mark.parametrize(
+        "engine", ["bnb", "brute", "milp", BackendConfig(command=HIGHS_BACKEND)]
+    )
+    def test_engines_agree(self, two_k4s, mode, expected, engine):
+        spec = ProblemSpec.mqc(Fraction(3, 7), mode=mode)
+        solution = solve_problem(two_k4s, spec, engine=engine)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == expected
+
+    def test_spec_has_no_size_window(self):
+        with pytest.raises(TypeError):
+            ProblemSpec.mqc(Fraction(3, 7), bounds=(1, 3))
 
 
 class TestAnswerGate:

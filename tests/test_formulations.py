@@ -99,22 +99,10 @@ class TestProblemSpec:
         with pytest.raises(FormulationError, match="density-threshold"):
             ProblemSpec.dks(3, Connectivity.MPR)
 
-    def test_bounds_validation(self):
-        spec = ProblemSpec.mqc(Fraction(1, 2), bounds=(2, 5))
-        assert spec.bounds == (2, 5)
-        with pytest.raises(FormulationError, match="mqc only"):
-            ProblemSpec(Problem.DKS, k=3, bounds=(1, 3))
-        with pytest.raises(FormulationError, match="1 <= lo <= hi"):
-            ProblemSpec.mqc(Fraction(1, 2), bounds=(3, 2))
-        with pytest.raises(FormulationError, match="1 <= lo <= hi"):
-            ProblemSpec.mqc(Fraction(1, 2), bounds=(0, 2))
-
     def test_validate_for_checks_graph_sizes(self, triangle):
         ProblemSpec.dks(3).validate_for(triangle)
         with pytest.raises(FormulationError, match="exceeds vertex count"):
             ProblemSpec.dks(4).validate_for(triangle)
-        with pytest.raises(FormulationError, match="exceeds vertex count"):
-            ProblemSpec.mqc(Fraction(1, 2), bounds=(1, 4)).validate_for(triangle)
 
 
 class TestBuildM1:

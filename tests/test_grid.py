@@ -54,7 +54,12 @@ class TestGridSpec:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"time_limit": 0}, {"memory_bytes": -1}],
+        [
+            {"time_limit": 0},
+            {"memory_bytes": -1},
+            {"time_limit": float("nan")},
+            {"memory_bytes": float("inf")},
+        ],
     )
     def test_limits_must_be_positive(self, kwargs):
         with pytest.raises(GridError, match="positive"):
@@ -248,6 +253,20 @@ class TestRunGrid:
         spec = GridSpec(name="edge", family=Problem.DKS)
         with pytest.raises(GridError, match="empty parameter range"):
             run_grid(lone, spec, tmp_path / "grid.csv")
+
+    def test_torn_csv_row_rejected(self, tmp_path, two_k4s):
+        # An interrupted write can leave a last row without its node count.
+        target = tmp_path / "grid.csv"
+        spec = GridSpec(name="blocks", family=Problem.DKS)
+        run_grid(two_k4s, spec, target, clock=FakeClock())
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        torn = lines[-1].rsplit(",", 1)[0] + ","
+        target.write_text("".join(lines[:-1]) + torn, encoding="utf-8")
+        with pytest.raises(GridError, match="malformed grid CSV row"):
+            run_grid(two_k4s, spec, target)
+        for row in (["0.10", "optimal", "3", "true", "0.001", ""], ["0.10", "optimal"]):
+            with pytest.raises(GridError, match="malformed grid CSV row"):
+                GridCell.from_csv(row)
 
     def test_foreign_csv_rejected(self, tmp_path, triangle):
         target = tmp_path / "grid.csv"

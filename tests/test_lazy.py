@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclique import driver, lazy
 from qclique.backend import BackendConfig
 from qclique.formulations import Connectivity, FormulationError, ProblemSpec
 from qclique.graphs import Graph, induced_edge_count, is_connected
@@ -64,6 +65,12 @@ class TestSolveLazy:
     def test_unknown_engine_rejected(self, path3):
         with pytest.raises(SolveError, match="unknown engine"):
             solve_lazy(path3, 2, engine="simplex")
+
+    def test_engines_are_the_registry_without_brute(self, path3):
+        assert lazy.ENGINES == tuple(e for e in driver.ENGINES if e != "brute")
+        expected = r"unknown engine 'brute': expected one of \('bnb', 'milp'\)"
+        with pytest.raises(SolveError, match=expected):
+            solve_lazy(path3, 2, engine="brute")
 
     def test_oversized_k_rejected(self, path3):
         with pytest.raises(FormulationError, match="exceeds vertex count"):

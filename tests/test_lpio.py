@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,32 @@ class TestExportLp:
         m.add_constraint({"x": 1}, "<=", 1, "a=b")
         with pytest.raises(FormatError, match="collision"):
             export_lp(m)
+
+
+class TestExportWarnings:
+    """Inexact renderings reach the qclique.lpio logger; the text is unchanged."""
+
+    @staticmethod
+    def three_sevenths_model() -> LinearModel:
+        m = LinearModel()
+        m.add_variable("x", BINARY)
+        m.add_constraint({"x": Fraction(3, 7)}, "<=", Fraction(1, 3), "c")
+        m.set_objective({"x": 1})
+        return m.freeze()
+
+    @pytest.mark.parametrize(
+        "export, document", [(export_lp, lp_document), (export_mps, mps_document)]
+    )
+    def test_rounding_warnings_are_logged(self, caplog, export, document):
+        model = self.three_sevenths_model()
+        doc = document(model)
+        assert len(doc.warnings) == 2
+        with caplog.at_level(logging.WARNING, logger="qclique.lpio"):
+            assert export(model) == doc.text
+        records = [r for r in caplog.records if r.name == "qclique.lpio"]
+        assert [r.getMessage() for r in records] == list(doc.warnings)
+        assert {r.levelno for r in records} == {logging.WARNING}
+        assert "3/7 rendered inexactly" in records[0].getMessage()
 
 
 class TestExportMps:

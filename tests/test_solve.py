@@ -66,7 +66,7 @@ class TestLimits:
         assert limits.time_seconds == 3600.0
         assert limits.memory_bytes == 10 * 10**9
 
-    @pytest.mark.parametrize("bad", [0, -1.5])
+    @pytest.mark.parametrize("bad", [0, -1.5, float("nan"), float("inf")])
     def test_time_limit_must_be_positive(self, bad):
         with pytest.raises(SolveError, match="time limit"):
             Limits(time_seconds=bad)
@@ -74,6 +74,11 @@ class TestLimits:
     def test_memory_limit_must_be_positive(self):
         with pytest.raises(SolveError, match="memory limit"):
             Limits(memory_bytes=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_memory_limit_must_be_finite(self, bad):
+        with pytest.raises(SolveError, match="memory limit .* finite"):
+            Limits(memory_bytes=bad)
 
     def test_none_disables(self):
         limits = Limits(time_seconds=None, memory_bytes=None)
