@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ logger = logging.getLogger(__name__)
 CSV_COLUMNS = ("param", "status", "objective", "connected", "elapsed", "nodes")
 
 ERROR_STATUS = "error"
+OPTIMAL = SolveStatus.OPTIMAL.value
 
 
 class GridError(ValueError):
@@ -140,16 +142,25 @@ class GridRow:
 
 def read_cells(path: Path) -> list[GridCell]:
     """Load previously computed cells; an absent file is an empty grid."""
-    if not path.exists():
-        return []
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
+    return _read(path)[0]
+
+
+def _read(path: Path) -> tuple[list[GridCell], int]:
+    """The cells and the byte length of the terminated lines; a last line
+    without its newline (only an interrupted write leaves one) is skipped."""
+    data = path.read_bytes() if path.exists() else b""
+    intact = data.rfind(b"\n") + 1
+    if intact < len(data):
+        torn = data[intact:].decode("utf-8", "replace")
+        if not intact and not ",".join(CSV_COLUMNS).startswith(torn):
+            raise GridError(f"unexpected grid CSV header: {torn!r}")
+        logger.warning("%s: dropping the unterminated last line %r", path, torn)
+    rows = list(csv.reader(data[:intact].decode("utf-8").splitlines()))
     if not rows:
-        return []
+        return [], intact
     if tuple(rows[0]) != CSV_COLUMNS:
         raise GridError(f"unexpected grid CSV header: {rows[0]!r}")
-    return [GridCell.from_csv(row) for row in rows[1:]]
+    return [GridCell.from_csv(row) for row in rows[1:]], intact
 
 
 def aggregate(name: str, cells: list[GridCell]) -> GridRow:
@@ -180,6 +191,7 @@ def _solve_cell(
     spec: GridSpec,
     param,
     clock: Callable[[], float],
+    ceiling: int | None = None,
 ) -> GridCell:
     """Run one cell; engine failures become an error-status cell.
 
@@ -187,7 +199,7 @@ def _solve_cell(
     go to this module's logger at WARNING.
     """
     rendered = spec.render_param(param)
-    limits = Limits(time_seconds=spec.time_limit, memory_bytes=spec.memory_bytes)
+    limits = Limits(spec.time_limit, spec.memory_bytes, ceiling)
     started = clock()
     try:
         solution = solve_problem(g, spec.cell_spec(param), spec.engine, limits)
@@ -201,17 +213,11 @@ def _solve_cell(
             exc_info=True,
         )
         cell = GridCell(rendered, ERROR_STATUS, 0, False, clock() - started, 0)
-        return GridCell.from_csv(cell.to_csv())
-    elapsed = clock() - started
-    connected = bool(solution.vertices) and is_connected(g, solution.vertices)
-    cell = GridCell(
-        param=rendered,
-        status=solution.status.value,
-        objective=solution.objective,
-        connected=connected,
-        elapsed=elapsed,
-        nodes=solution.nodes_explored,
-    )
+    else:
+        elapsed = clock() - started
+        connected = bool(solution.vertices) and is_connected(g, solution.vertices)
+        status, nodes = solution.status.value, solution.nodes_explored
+        cell = GridCell(rendered, status, solution.objective, connected, elapsed, nodes)
     # Round-trip through the CSV encoding so the summary aggregated now is
     # bit-identical to one aggregated from the file later.
     return GridCell.from_csv(cell.to_csv())
@@ -229,8 +235,10 @@ def run_grid(
     The instance is reduced to its largest connected component before
     solving. Cells already present in the CSV are kept as-is; missing ones
     are computed and appended in deterministic parameter order, each flushed
-    as it lands, so an interrupted sweep keeps every cell written so far.
-    The clock is injectable so tests can pin elapsed values.
+    as it lands, so an interrupted sweep keeps every cell written so far
+    (and recomputes a last line it left unterminated). An MQC cell's node
+    count, not its answer, depends on the cells at a lower gamma, which cap
+    its objective. The clock is injectable so tests can pin elapsed values.
     """
     if workers < 1:
         raise GridError(f"worker count must be at least 1, got {workers}")
@@ -241,20 +249,31 @@ def run_grid(
             f"empty parameter range for {spec.family.value} on n={core.n}"
         )
     path = Path(csv_path)
-    existing = read_cells(path)
+    existing, intact = _read(path)
+    labels = [spec.render_param(p) for p in params]
     done = {cell.param for cell in existing}
-    pending = [p for p in params if spec.render_param(p) not in done]
+    pending = [p for p, label in zip(params, labels) if label not in done]
 
     if not pending:
         return aggregate(spec.name, existing)
+    # A gamma'-quasi-clique is a gamma-quasi-clique for gamma < gamma',
+    # connected or not, so the optima at a lower gamma cap an MQC cell's:
+    # those of the rows present now (all a pool reads, which keeps it
+    # deterministic) and, in a sequential sweep, of the cells solved since.
+    optima = {c.param: c.objective for c in existing if c.status == OPTIMAL}
+    below, low, solved = {}, math.inf, math.inf
+    for label in labels:
+        below[label], low = low, min(low, optima.get(label, math.inf))
 
     def solve(param) -> GridCell:
-        return _solve_cell(core, spec, param, clock)
+        ceiling = min(below[spec.render_param(param)], solved)
+        capped = spec.family is Problem.MQC and ceiling < math.inf
+        return _solve_cell(core, spec, param, clock, ceiling if capped else None)
 
-    write_header = not path.exists() or path.stat().st_size == 0
     with path.open("a", newline="", encoding="utf-8") as handle:
+        handle.truncate(intact)
         writer = csv.writer(handle, lineterminator="\n")
-        if write_header:
+        if not intact:
             writer.writerow(CSV_COLUMNS)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # Both maps yield in parameter order, so a cell reaches the file
@@ -263,4 +282,6 @@ def run_grid(
                 writer.writerow(cell.to_csv())
                 handle.flush()
                 existing.append(cell)
+                if workers == 1 and cell.status == OPTIMAL:
+                    solved = min(solved, cell.objective)
     return aggregate(spec.name, existing)

@@ -182,9 +182,10 @@ def lp_document(model: LinearModel) -> ExportDoc:
 
 
 def _logged_text(doc: ExportDoc) -> str:
-    """The document's text, after logging each rendering warning."""
-    for warning in doc.warnings:
-        logger.warning("%s", warning)
+    """The document's text, after one log line counting its warnings."""
+    if doc.warnings:
+        count, first = len(doc.warnings), doc.warnings[0]
+        logger.warning("%d numbers rendered inexactly; the first: %s", count, first)
     return doc.text
 
 

@@ -45,15 +45,23 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Limits:
-    """Effort limits for a single solve. None disables a limit."""
+    """Effort limits for a single solve. None disables a limit.
+
+    ceiling, a proven upper bound on the objective, is read by
+    branch_and_bound only (see search).
+    """
 
     time_seconds: float | None = 3600.0
     memory_bytes: int | None = 10 * 10**9
+    ceiling: int | None = None
 
     def __post_init__(self) -> None:
         for what, value in (("time", self.time_seconds), ("memory", self.memory_bytes)):
             if value is not None and not 0 < value < math.inf:
                 raise SolveError(f"{what} limit must be positive and finite, got {value}")
+        ceiling = self.ceiling
+        if ceiling is not None and (type(ceiling) is not int or ceiling < 0):
+            raise SolveError(f"ceiling must be a nonnegative int, got {ceiling!r}")
 
 
 @dataclass(frozen=True)
@@ -347,7 +355,7 @@ def branch_and_bound(
     spec.validate_for(g)
     budget = _Budget(limits)
     warm = _warm_threshold if spec.problem is Problem.MQC else _warm_fixed
-    solution = search(g, spec, budget, warm(g, spec))
+    solution = search(g, spec, budget, warm(g, spec), limits.ceiling)
     return replace(solution, elapsed=budget.elapsed())
 
 
@@ -389,6 +397,7 @@ def search(
     spec: ProblemSpec,
     budget: _Budget,
     incumbent: tuple[int, tuple[int, ...] | None],
+    ceiling: int | None = None,
 ) -> Solution:
     """The include/exclude depth-first search behind every exact engine.
 
@@ -414,6 +423,9 @@ def search(
     every vertex whose non-neighbors in chosen, added to the pairs chosen
     already misses, exceed the budget. Only subtrees that hold no better
     set are cut, so the incumbents found are those of the full search.
+    A ceiling, a proven upper bound on the objective, caps the threshold
+    targets and ends the search as optimal once the incumbent reaches it;
+    an incumbent above it raises SolveError.
     """
     order, masks = _ranking(g)
     threshold = spec.problem is Problem.MQC
@@ -423,8 +435,9 @@ def search(
     else:
         k_pairs = k * (k - 1) // 2
     best, members = incumbent
+    cap = math.inf if ceiling is None else ceiling
     nodes = 0
-    stack: list[tuple[int, int, int]] = [(0, (1 << g.n) - 1, 0)]
+    stack: list[tuple[int, int, int]] = [] if best >= cap else [(0, (1 << g.n) - 1, 0)]
     status = SolveStatus.OPTIMAL
     try:
         while stack:
@@ -441,6 +454,8 @@ def search(
             ):
                 best = size if threshold else edges
                 members = tuple(sorted(order[r] for r in mask_members(chosen)))
+                if best >= cap:
+                    break
             if size == k or not pool:
                 continue
             if spec.connected and chosen:
@@ -452,7 +467,7 @@ def search(
                     continue
             missing = size * (size - 1) // 2 - edges
             if threshold:
-                total = size + pool.bit_count()
+                total = min(size + pool.bit_count(), cap)
                 if total <= best:
                     continue
                 bounds = completion_bounds(masks, chosen, pool, edges)
@@ -489,6 +504,8 @@ def search(
             stack.append((chosen | bit, pool, edges + gained))
     except _LimitHit as hit:
         status = hit.status
+    if best > cap:
+        raise SolveError(f"incumbent {best} exceeds the ceiling {ceiling}")
     if members is None:
         terminal = SolveStatus.INFEASIBLE if status is SolveStatus.OPTIMAL else status
         return Solution((), 0, terminal, nodes_explored=nodes)

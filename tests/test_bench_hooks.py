@@ -36,3 +36,24 @@ def test_install_spans_restores_every_patched_attribute(monkeypatch):
         tracer.restore()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original, f"{owner.__name__}.{attr}"
+
+
+def test_grid_ceilings_reach_a_four_argument_wrapper(tmp_path, monkeypatch):
+    # The benchmark's grid workload replaces grid.solve_problem with a
+    # wrapper of exactly (g, spec, engine, limits), so the ceiling must
+    # travel inside Limits.
+    calls = []
+    dispatch = qclique.grid.solve_problem
+
+    def capture(g, spec, engine, limits):
+        calls.append(limits)
+        return dispatch(g, spec, engine, limits)
+
+    monkeypatch.setattr(qclique.grid, "solve_problem", capture)
+    g = qclique.Graph.build(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])
+    spec = qclique.GridSpec(name="toy", family=qclique.Problem.MQC)
+    qclique.run_grid(g, spec, tmp_path / "grid.csv")
+    assert len(calls) == 91
+    assert all(isinstance(limits, qclique.Limits) for limits in calls)
+    assert calls[0].ceiling is None
+    assert all(limits.ceiling is not None for limits in calls[1:])

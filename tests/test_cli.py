@@ -368,10 +368,26 @@ class TestGrid:
         assert code == EXIT_INPUT
         assert "positive and finite" in capsys.readouterr().err
 
-    def test_torn_csv_row_exits_cleanly(self, tmp_path, capsys, triangle):
+    def test_torn_csv_row_exits_cleanly(self, tmp_path, caplog, triangle):
+        # An unterminated last row is what an interrupted write leaves: the
+        # sweep cuts it and recomputes its cell.
         csv_path = tmp_path / "tri.csv"
         csv_path.write_text(
             "param,status,objective,connected,elapsed,nodes\n2,optimal,1,true,0.001,",
+            encoding="utf-8",
+        )
+        instance = write_graph(tmp_path, triangle)
+        code = main(["grid", instance, "--family", "dks", "--csv", str(csv_path)])
+        assert code == 0
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("2,optimal,1,true,")
+        assert "unterminated last line" in caplog.text
+
+    def test_malformed_terminated_csv_row_exits_4(self, tmp_path, capsys, triangle):
+        csv_path = tmp_path / "tri.csv"
+        csv_path.write_text(
+            "param,status,objective,connected,elapsed,nodes\n2,optimal,1,true,0.001,\n",
             encoding="utf-8",
         )
         instance = write_graph(tmp_path, triangle)

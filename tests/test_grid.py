@@ -9,7 +9,7 @@ import pytest
 
 from qclique import grid, solve
 from qclique.backend import BackendConfig
-from qclique.formulations import Connectivity, Problem
+from qclique.formulations import Connectivity, Problem, ProblemSpec
 from qclique.graphs import Graph
 from qclique.driver import solve_problem
 from qclique.grid import (
@@ -254,19 +254,46 @@ class TestRunGrid:
         with pytest.raises(GridError, match="empty parameter range"):
             run_grid(lone, spec, tmp_path / "grid.csv")
 
-    def test_torn_csv_row_rejected(self, tmp_path, two_k4s):
-        # An interrupted write can leave a last row without its node count.
-        target = tmp_path / "grid.csv"
+    def test_torn_csv_row_rejected(self, tmp_path, two_k4s, caplog):
+        # An interrupted write can leave a last row without its node count
+        # and newline: the rerun cuts it and recomputes that cell.
+        fresh = tmp_path / "fresh.csv"
         spec = GridSpec(name="blocks", family=Problem.DKS)
-        run_grid(two_k4s, spec, target, clock=FakeClock())
-        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        run_grid(two_k4s, spec, fresh, clock=FakeClock())
+        lines = fresh.read_text(encoding="utf-8").splitlines(keepends=True)
         torn = lines[-1].rsplit(",", 1)[0] + ","
+        target = tmp_path / "grid.csv"
         target.write_text("".join(lines[:-1]) + torn, encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="qclique.grid"):
+            run_grid(two_k4s, spec, target, clock=FakeClock())
+        assert target.read_bytes() == fresh.read_bytes()
+        (record,) = [r for r in caplog.records if r.name == "qclique.grid"]
+        assert record.levelno == logging.WARNING
+        assert f"unterminated last line {torn!r}" in record.getMessage()
+        # A malformed row that ends in a newline was not torn: it raises.
+        target.write_text("".join(lines[:-1]) + torn + "\n", encoding="utf-8")
         with pytest.raises(GridError, match="malformed grid CSV row"):
             run_grid(two_k4s, spec, target)
         for row in (["0.10", "optimal", "3", "true", "0.001", ""], ["0.10", "optimal"]):
             with pytest.raises(GridError, match="malformed grid CSV row"):
                 GridCell.from_csv(row)
+
+    def test_torn_header_is_rewritten(self, tmp_path, triangle):
+        fresh = tmp_path / "fresh.csv"
+        spec = GridSpec(name="triangle", family=Problem.DKS)
+        run_grid(triangle, spec, fresh, clock=FakeClock())
+        target = tmp_path / "grid.csv"
+        target.write_text("param,sta", encoding="utf-8")
+        run_grid(triangle, spec, target, clock=FakeClock())
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_unterminated_foreign_line_rejected(self, tmp_path, triangle):
+        target = tmp_path / "notes.txt"
+        target.write_text("alpha,beta", encoding="utf-8")
+        spec = GridSpec(name="triangle", family=Problem.DKS)
+        with pytest.raises(GridError, match="header"):
+            run_grid(triangle, spec, target)
+        assert target.read_text(encoding="utf-8") == "alpha,beta"
 
     def test_foreign_csv_rejected(self, tmp_path, triangle):
         target = tmp_path / "grid.csv"
@@ -275,6 +302,91 @@ class TestRunGrid:
         with pytest.raises(GridError, match="header"):
             run_grid(triangle, spec, target)
 
+
+class TestCeilings:
+    """Each MQC cell is capped by the optima at lower gamma in its CSV: the
+    answers are those of cells solved alone, and the CSV stays a pure
+    function of the sweep."""
+
+    @staticmethod
+    def record_ceilings(monkeypatch) -> list:
+        """Patch the grid's dispatch to record each cell's ceiling."""
+        ceilings = []
+        solve = grid.solve_problem
+
+        def capture(g, cell, engine, limits):
+            ceilings.append(limits.ceiling)
+            return solve(g, cell, engine, limits)
+
+        monkeypatch.setattr(grid, "solve_problem", capture)
+        return ceilings
+
+    def test_later_cell_with_a_repeated_optimum_takes_fewer_nodes(
+        self, tmp_path, two_k4s
+    ):
+        target = tmp_path / "grid.csv"
+        run_grid(two_k4s, GridSpec("blocks", Problem.MQC), target, clock=FakeClock())
+        cells = {cell.param: cell for cell in read_cells(target)}
+        alone = {
+            param: solve_problem(two_k4s, ProblemSpec.mqc(Fraction(param)))
+            for param in cells
+        }
+        for param, cell in cells.items():
+            answer = (alone[param].status.value, alone[param].objective)
+            assert (cell.status, cell.objective) == answer
+            assert cell.nodes <= alone[param].nodes_explored
+        assert cells["0.32"].objective == cells["0.33"].objective == 9
+        assert cells["0.33"].nodes < alone["0.33"].nodes_explored
+
+    @pytest.mark.parametrize("mode", [Connectivity.NONE, Connectivity.CSTREE])
+    def test_interrupted_threshold_sweep_resumes_byte_identical(
+        self, tmp_path, two_k4s, monkeypatch, mode
+    ):
+        spec = GridSpec(name="blocks", family=Problem.MQC, mode=mode)
+        fresh_path = tmp_path / "fresh.csv"
+        run_grid(two_k4s, spec, fresh_path, clock=FakeClock())
+        solve = grid.solve_problem
+
+        def interrupted(g, cell, engine, limits):
+            if cell.gamma == Fraction(1, 2):
+                raise KeyboardInterrupt
+            return solve(g, cell, engine, limits)
+
+        monkeypatch.setattr(grid, "solve_problem", interrupted)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(KeyboardInterrupt):
+            run_grid(two_k4s, spec, path, clock=FakeClock())
+        assert len(read_cells(path)) == 40
+        monkeypatch.setattr(grid, "solve_problem", solve)
+        run_grid(two_k4s, spec, path, clock=FakeClock())
+        assert path.read_bytes() == fresh_path.read_bytes()
+
+    def test_pooled_sweeps_write_identical_files(self, tmp_path, two_k4s):
+        spec = GridSpec(name="blocks", family=Problem.MQC)
+        paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+        for path in paths:
+            # A constant clock leaves the node counts as the only variable.
+            run_grid(two_k4s, spec, path, workers=3, clock=lambda: 0.0)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_pooled_resume_reads_only_the_rows_already_written(
+        self, tmp_path, two_k4s, monkeypatch
+    ):
+        spec = GridSpec(name="blocks", family=Problem.MQC)
+        path = tmp_path / "grid.csv"
+        run_grid(two_k4s, spec, path, clock=FakeClock())
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:3]), encoding="utf-8")
+        ceilings = self.record_ceilings(monkeypatch)
+        run_grid(two_k4s, spec, path, workers=3, clock=FakeClock())
+        assert len(ceilings) == 89
+        # Every pending cell sees only the first two rows, 0.10 and 0.11.
+        assert set(ceilings) == {min(c.objective for c in read_cells(path)[:2])}
+
+    def test_cardinality_sweeps_get_no_ceiling(self, tmp_path, two_k4s, monkeypatch):
+        ceilings = self.record_ceilings(monkeypatch)
+        run_grid(two_k4s, GridSpec("blocks", Problem.DKS), tmp_path / "grid.csv")
+        assert ceilings == [None] * 9
 
 
 def _clear_memos() -> None:

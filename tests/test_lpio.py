@@ -192,7 +192,8 @@ class TestExportLp:
 
 
 class TestExportWarnings:
-    """Inexact renderings reach the qclique.lpio logger; the text is unchanged."""
+    """Inexact renderings reach the qclique.lpio logger as one line per
+    document; the text is unchanged."""
 
     @staticmethod
     def three_sevenths_model() -> LinearModel:
@@ -211,10 +212,12 @@ class TestExportWarnings:
         assert len(doc.warnings) == 2
         with caplog.at_level(logging.WARNING, logger="qclique.lpio"):
             assert export(model) == doc.text
-        records = [r for r in caplog.records if r.name == "qclique.lpio"]
-        assert [r.getMessage() for r in records] == list(doc.warnings)
-        assert {r.levelno for r in records} == {logging.WARNING}
-        assert "3/7 rendered inexactly" in records[0].getMessage()
+        (record,) = [r for r in caplog.records if r.name == "qclique.lpio"]
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            f"2 numbers rendered inexactly; the first: {doc.warnings[0]}"
+        )
+        assert "3/7 rendered inexactly" in record.getMessage()
 
 
 class TestExportMps:

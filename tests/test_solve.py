@@ -83,6 +83,12 @@ class TestLimits:
     def test_none_disables(self):
         limits = Limits(time_seconds=None, memory_bytes=None)
         assert limits.time_seconds is None
+        assert limits.ceiling is None
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.0, Fraction(3), "3"])
+    def test_ceiling_must_be_a_nonnegative_int(self, bad):
+        with pytest.raises(SolveError, match="ceiling"):
+            Limits(ceiling=bad)
 
 
 class TestMeetsDensity:
@@ -493,6 +499,49 @@ class TestSearchAgainstEnumeration:
         for i in range(1, 21):
             spec = ProblemSpec.mqc(Fraction(i, 20), mode=Connectivity.CSTREE)
             assert_answer(g, spec, branch_and_bound(g, spec), brute_force(g, spec))
+
+
+class TestCeiling:
+    """A ceiling at the optimum only skips the proof after it: answers are
+    those of the full search, and the search never takes more nodes."""
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_ceiling_at_the_optimum_keeps_every_answer(self, data):
+        g = data.draw(seeded_graphs(max_n=12))
+        mode = data.draw(st.sampled_from([Connectivity.NONE, Connectivity.CSTREE]))
+        specs = [ProblemSpec.mqc(Fraction(i, 10), mode=mode) for i in range(1, 11)]
+        specs += [ProblemSpec.dks(k) for k in range(2, g.n + 1)]
+        for spec in specs:
+            full = branch_and_bound(g, spec)
+            ceiling = brute_force(g, spec).objective
+            capped = branch_and_bound(g, spec, Limits(ceiling=ceiling))
+            assert (capped.status, capped.objective, capped.vertices) == (
+                full.status,
+                full.objective,
+                full.vertices,
+            )
+            assert capped.nodes_explored <= full.nodes_explored
+
+    def test_ceiling_below_the_warm_start_is_refused(self, two_k4s):
+        # The greedy warm start is one K4 at gamma = 1.
+        spec = ProblemSpec.mqc(Fraction(1))
+        assert branch_and_bound(two_k4s, spec, Limits(ceiling=4)).nodes_explored == 0
+        with pytest.raises(SolveError, match="exceeds the ceiling 3"):
+            branch_and_bound(two_k4s, spec, Limits(ceiling=3))
+
+    def test_ceiling_below_a_later_record_is_refused(self, two_k4s):
+        # The warm start has 10 edges; the search's first record has 12.
+        spec = ProblemSpec.dks(8)
+        assert _warm_fixed(two_k4s, spec)[0] == 10
+        with pytest.raises(SolveError, match="incumbent 12 exceeds the ceiling 11"):
+            branch_and_bound(two_k4s, spec, Limits(ceiling=11))
+
+    def test_other_engines_ignore_the_ceiling(self, two_k4s):
+        spec = ProblemSpec.mqc(Fraction(3, 7))
+        assert brute_force(two_k4s, spec).objective == 8
+        solution = solve_problem(two_k4s, spec, "brute", Limits(ceiling=1))
+        assert solution.objective == 8
 
 
 def _probe_graph() -> Graph:
