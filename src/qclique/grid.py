@@ -145,22 +145,26 @@ def read_cells(path: Path) -> list[GridCell]:
     return _read(path)[0]
 
 
-def _read(path: Path) -> tuple[list[GridCell], int]:
-    """The cells and the byte length of the terminated lines; a last line
+def _read(path: Path) -> tuple[list[GridCell], int, str | None]:
+    """The cells, the byte length of the terminated lines, and the header's
+    tag (None for the six-column header, which has no tag); a last line
     without its newline (only an interrupted write leaves one) is skipped."""
     data = path.read_bytes() if path.exists() else b""
     intact = data.rfind(b"\n") + 1
+    columns = ",".join(CSV_COLUMNS) + ",v2:"
     if intact < len(data):
         torn = data[intact:].decode("utf-8", "replace")
-        if not intact and not ",".join(CSV_COLUMNS).startswith(torn):
+        if not intact and not (columns.startswith(torn) or torn.startswith(columns)):
             raise GridError(f"unexpected grid CSV header: {torn!r}")
         logger.warning("%s: dropping the unterminated last line %r", path, torn)
     rows = list(csv.reader(data[:intact].decode("utf-8").splitlines()))
     if not rows:
-        return [], intact
-    if tuple(rows[0]) != CSV_COLUMNS:
+        return [], intact, None
+    header = tuple(rows[0])
+    tag = header[6] if len(header) == 7 and header[6].startswith("v2:") else None
+    if header[:6] != CSV_COLUMNS or len(header) != 6 + (tag is not None):
         raise GridError(f"unexpected grid CSV header: {rows[0]!r}")
-    return [GridCell.from_csv(row) for row in rows[1:]], intact
+    return [GridCell.from_csv(row) for row in rows[1:]], intact, tag
 
 
 def aggregate(name: str, cells: list[GridCell]) -> GridRow:
@@ -238,7 +242,9 @@ def run_grid(
     as it lands, so an interrupted sweep keeps every cell written so far
     (and recomputes a last line it left unterminated). An MQC cell's node
     count, not its answer, depends on the cells at a lower gamma, which cap
-    its objective. The clock is injectable so tests can pin elapsed values.
+    its objective. A file whose header names another reduced instance,
+    family or mode raises GridError; the rows of a six-column header cap
+    nothing. The clock is injectable so tests can pin elapsed values.
     """
     if workers < 1:
         raise GridError(f"worker count must be at least 1, got {workers}")
@@ -249,7 +255,10 @@ def run_grid(
             f"empty parameter range for {spec.family.value} on n={core.n}"
         )
     path = Path(csv_path)
-    existing, intact = _read(path)
+    existing, intact, tag = _read(path)
+    mine = f"v2:{core.fingerprint()}:{spec.family.value}:{spec.mode.value}"
+    if tag is not None and tag != mine:
+        raise GridError(f"{path} holds cells of {tag}, not of {mine}")
     labels = [spec.render_param(p) for p in params]
     done = {cell.param for cell in existing}
     pending = [p for p, label in zip(params, labels) if label not in done]
@@ -260,7 +269,8 @@ def run_grid(
     # connected or not, so the optima at a lower gamma cap an MQC cell's:
     # those of the rows present now (all a pool reads, which keeps it
     # deterministic) and, in a sequential sweep, of the cells solved since.
-    optima = {c.param: c.objective for c in existing if c.status == OPTIMAL}
+    # Only a tagged file is known to hold cells of this instance.
+    optima = {c.param: c.objective for c in existing if tag and c.status == OPTIMAL}
     below, low, solved = {}, math.inf, math.inf
     for label in labels:
         below[label], low = low, min(low, optima.get(label, math.inf))
@@ -274,7 +284,7 @@ def run_grid(
         handle.truncate(intact)
         writer = csv.writer(handle, lineterminator="\n")
         if not intact:
-            writer.writerow(CSV_COLUMNS)
+            writer.writerow(CSV_COLUMNS + (mine,))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # Both maps yield in parameter order, so a cell reaches the file
             # as soon as it and every cell before it are done.

@@ -19,7 +19,7 @@ import os
 import resource
 import sys
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -225,14 +225,15 @@ def _relabel(mask: int, label: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
-def _ranking(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The branching order (descending degree, ties by id) and the neighbor
-    masks relabelled to rank."""
+def _ranking(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The branching order (descending degree, ties by id), the neighbor
+    masks relabelled to rank, and the degrees in rank order."""
     order = tuple(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
     rank = [0] * g.n
     for r, v in enumerate(order):
         rank[v] = r
-    return order, tuple(_relabel(g.masks[v], rank) for v in order)
+    masks = tuple(_relabel(g.masks[v], rank) for v in order)
+    return order, masks, tuple(g.degree(v) for v in order)
 
 
 def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
@@ -287,17 +288,18 @@ def _peeling_sequence(g: Graph) -> list[tuple[int, int, int]]:
 @dataclass(frozen=True)
 class _Seeds:
     """The warm-start candidates of one graph and connectedness flavor, as
-    (mask, size, edges) in offer order.
+    (mask, size, edges).
 
     prefixes holds the greedy sequence's prefixes, prefixes[i] the first
     i + 1 vertices; the connected greedy sequence grows through neighbors,
-    so each of them is connected. peels holds the min-degree peeling states,
-    and in the connected flavor only the connected ones, since the search
-    could never record the others.
+    so each of them is connected. by_size holds those prefixes and then the
+    min-degree peeling states (in the connected flavor only the connected
+    ones, since the search could never record the others), stably sorted by
+    descending size, so the first that meets gamma is the warm start.
     """
 
     prefixes: tuple[tuple[int, int, int], ...]
-    peels: tuple[tuple[int, int, int], ...]
+    by_size: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
@@ -310,21 +312,20 @@ def _seeds(g: Graph, connected: bool) -> _Seeds:
         edges += (masks[v] & prefix).bit_count()
         prefix |= 1 << v
         prefixes.append((prefix, len(prefixes) + 1, edges))
-    peels = tuple(
+    peels = [
         c
         for c in _peeling_sequence(g)
         if not connected or reach(masks, c[0], c[0] & -c[0]) == c[0]
-    )
-    return _Seeds(tuple(prefixes), peels)
+    ]
+    by_size = sorted(prefixes + peels, key=lambda c: -c[1])
+    return _Seeds(tuple(prefixes), tuple(by_size))
 
 
 def _warm_threshold(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
-    seeds = _seeds(g, spec.connected)
-    best_size, best = 0, 0
-    for mask, size, edges in seeds.prefixes + seeds.peels:
-        if size > best_size and meets_density(edges, size, spec.gamma):
-            best_size, best = size, mask
-    return best_size, mask_members(best)
+    for mask, size, edges in _seeds(g, spec.connected).by_size:
+        if meets_density(edges, size, spec.gamma):
+            return size, mask_members(mask)
+    return 0, ()
 
 
 def _warm_fixed(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...] | None]:
@@ -360,36 +361,52 @@ def branch_and_bound(
 
 
 def completion_bounds(
-    masks: tuple[int, ...], chosen: int, pool: int, edges: int
-) -> list[int]:
-    """Upper bounds on the induced edges of chosen plus `take` pool vertices.
+    weights: Sequence[int], size: int, edges: int, takes: int
+) -> Iterator[int]:
+    """Upper bounds on the induced edges of chosen plus `take` pool vertices,
+    for take = takes, takes - 1, ..., 0 in that order (takes is at most the
+    pool's size).
 
-    Entry `take` bounds every completion by `take` vertices of the pool.
-    With a_v = |N(v) & chosen| and b_v = |N(v) & pool|, a completion T adds
+    chosen has `size` vertices and `edges` edges inside. With
+    a_v = |N(v) & chosen| and b_v = |N(v) & pool|, a completion T adds
     e(chosen, T) + e(T) = (1/2) * sum over T of (2 a_v + |N(v) & T|) edges,
     so half the sum of the `take` largest weights 2 a_v + b_v bounds it: each
-    pool-pool edge is counted once, not twice. The bound is also capped by
-    all pairs at the target size minus the pairs already missing in chosen.
+    pool-pool edge is counted once, not twice. weights holds those weights
+    and any number of zeros, which change no such sum. The bound is also
+    capped by all pairs at the target size minus the pairs already missing
+    in chosen. The bounds come lazily: the first costs a sort and a sum.
     """
-    size = chosen.bit_count()
-    region = chosen | pool
-    weights = []
-    while pool:
-        low = pool & -pool
-        hood = masks[low.bit_length() - 1]
-        weights.append((hood & chosen).bit_count() + (hood & region).bit_count())
-        pool ^= low
-    weights.sort(reverse=True)
-    # The cap C(t, 2) - missing is edges at t = size and grows by t from t
-    # to t + 1.
-    bounds = [edges]
-    twice, cap = 0, edges
-    for t, weight in enumerate(weights, size):
-        twice += weight
-        cap += t
-        bound = edges + twice // 2
-        bounds.append(bound if bound < cap else cap)
-    return bounds
+    ranked = sorted(weights, reverse=True)
+    twice = 2 * edges + sum(ranked[:takes])
+    t = size + takes
+    cap = t * (t - 1) // 2 - size * (size - 1) // 2 + edges
+    while True:
+        bound = twice // 2
+        yield bound if bound < cap else cap
+        if t <= size:
+            return
+        # From t to t - 1 vertices: drop the smallest weight taken, and the
+        # cap C(t, 2) - missing falls by t - 1.
+        t -= 1
+        twice -= ranked[t - size]
+        cap -= t
+
+
+def _drop(weights: list[int], masks: tuple[int, ...], pool: int, dropped: int) -> int:
+    """The pool without dropped, whose weights become 0 while each of their
+    neighbors left in the pool loses 1."""
+    pool ^= dropped
+    while dropped:
+        low = dropped & -dropped
+        r = low.bit_length() - 1
+        weights[r] = 0
+        hood = masks[r] & pool
+        while hood:
+            bit = hood & -hood
+            weights[bit.bit_length() - 1] -= 1
+            hood ^= bit
+        dropped ^= low
+    return pool
 
 
 def search(
@@ -401,9 +418,15 @@ def search(
 ) -> Solution:
     """The include/exclude depth-first search behind every exact engine.
 
-    A node is (chosen, pool, edges inside chosen), kept in branching-rank
-    labels: vertices are relabelled by descending degree (ties by id), so
-    the pool's lowest set bit is the branching vertex, include branch first.
+    A node is (chosen, pool, edges inside chosen, weights), kept in
+    branching-rank labels: vertices are relabelled by descending degree
+    (ties by id), so the pool's lowest set bit is the branching vertex,
+    include branch first. weights[r] is 2 |N(r) & chosen| + |N(r) & pool|
+    for each pool vertex r and 0 for each vertex _drop took out of the pool
+    above its lowest bit, so completion_bounds reads the list from there on.
+    A child moves the branching vertex out of the pool: each pool neighbor
+    loses 1 in the exclude child and gains 1 in the include child.
+
     The spec sets the record rule: for the density threshold a chosen set
     that meets gamma scores its size; for fixed cardinality a chosen set of
     exactly k vertices scores its edges and is a leaf. A scoring set replaces
@@ -427,30 +450,32 @@ def search(
     targets and ends the search as optimal once the incumbent reaches it;
     an incumbent above it raises SolveError.
     """
-    order, masks = _ranking(g)
+    order, masks, degrees = _ranking(g)
     threshold = spec.problem is Problem.MQC
+    connected = spec.connected
     k = spec.k
     if threshold:
-        num, den = spec.gamma.numerator, spec.gamma.denominator
+        gamma = spec.gamma
+        num, den = gamma.numerator, gamma.denominator
     else:
         k_pairs = k * (k - 1) // 2
     best, members = incumbent
     cap = math.inf if ceiling is None else ceiling
     nodes = 0
-    stack: list[tuple[int, int, int]] = [] if best >= cap else [(0, (1 << g.n) - 1, 0)]
+    stack = [] if best >= cap else [(0, (1 << g.n) - 1, 0, list(degrees))]
     status = SolveStatus.OPTIMAL
     try:
         while stack:
-            chosen, pool, edges = stack.pop()
+            chosen, pool, edges, weights = stack.pop()
             nodes += 1
             budget.tick()
             size = chosen.bit_count()
             if threshold:
-                scores = size > best and meets_density(edges, size, spec.gamma)
+                scores = size > best and meets_density(edges, size, gamma)
             else:
                 scores = size == k and edges > best
             if scores and (
-                not spec.connected or reach(masks, chosen, chosen & -chosen) == chosen
+                not connected or reach(masks, chosen, chosen & -chosen) == chosen
             ):
                 best = size if threshold else edges
                 members = tuple(sorted(order[r] for r in mask_members(chosen)))
@@ -458,11 +483,11 @@ def search(
                     break
             if size == k or not pool:
                 continue
-            if spec.connected and chosen:
+            if connected and chosen:
                 component = reach(masks, chosen | pool, chosen & -chosen)
                 if chosen & ~component:
                     continue
-                pool &= component
+                pool = _drop(weights, masks, pool, pool & ~component)
                 if not pool:
                     continue
             missing = size * (size - 1) // 2 - edges
@@ -470,9 +495,11 @@ def search(
                 total = min(size + pool.bit_count(), cap)
                 if total <= best:
                     continue
-                bounds = completion_bounds(masks, chosen, pool, edges)
-                for top in range(total, max(best, size - 1), -1):
-                    if 2 * bounds[top - size] * den >= num * top * (top - 1):
+                lo = (pool & -pool).bit_length() - 1
+                tops = range(total, max(best, size - 1), -1)
+                bounds = completion_bounds(weights[lo:], size, edges, total - size)
+                for top, bound in zip(tops, bounds):
+                    if 2 * bound * den >= num * top * (top - 1):
                         break
                 else:
                     continue
@@ -484,24 +511,35 @@ def search(
             # allow >= size none is dropped, at allow < 0 all are.
             if allow < size:
                 need = size - allow
-                rest = pool
+                dropped, rest = 0, pool
                 while rest:
                     low = rest & -rest
                     if (masks[low.bit_length() - 1] & chosen).bit_count() < need:
-                        pool ^= low
+                        dropped |= low
                     rest ^= low
+                pool = _drop(weights, masks, pool, dropped)
                 if not pool:
                     continue
-            if not threshold and (
-                size + pool.bit_count() < k
-                or completion_bounds(masks, chosen, pool, edges)[k - size] <= best
-            ):
-                continue
+            if not threshold:
+                if size + pool.bit_count() < k:
+                    continue
+                lo = (pool & -pool).bit_length() - 1
+                if next(completion_bounds(weights[lo:], size, edges, k - size)) <= best:
+                    continue
             bit = pool & -pool
             pool ^= bit
-            stack.append((chosen, pool, edges))
-            gained = (masks[bit.bit_length() - 1] & chosen).bit_count()
-            stack.append((chosen | bit, pool, edges + gained))
+            hood = masks[bit.bit_length() - 1]
+            excluded = weights.copy()
+            rest = hood & pool
+            while rest:
+                low = rest & -rest
+                r = low.bit_length() - 1
+                excluded[r] -= 1
+                weights[r] += 1
+                rest ^= low
+            stack.append((chosen, pool, edges, excluded))
+            gained = (hood & chosen).bit_count()
+            stack.append((chosen | bit, pool, edges + gained, weights))
     except _LimitHit as hit:
         status = hit.status
     if best > cap:

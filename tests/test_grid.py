@@ -121,7 +121,8 @@ class TestRunGrid:
         spec = GridSpec(name="triangle", family=Problem.DKS)
         run_grid(triangle, spec, target, clock=FakeClock())
         lines = target.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
+        tag = f"v2:{triangle.fingerprint()}:dks:none"
+        assert lines[0] == ",".join(CSV_COLUMNS) + "," + tag
         assert lines[1] == "2,optimal,1,true,0.500000,1"
 
     def test_two_blocks_sweep_sees_disconnection(self, tmp_path, two_k4s):
@@ -387,6 +388,42 @@ class TestCeilings:
         ceilings = self.record_ceilings(monkeypatch)
         run_grid(two_k4s, GridSpec("blocks", Problem.DKS), tmp_path / "grid.csv")
         assert ceilings == [None] * 9
+
+    @pytest.mark.parametrize(
+        "graph, tag",
+        [("triangle", "mqc:none"), ("two_k4s", "dks:none"), ("two_k4s", "mqc:cstree")],
+    )
+    def test_foreign_file_is_refused(self, tmp_path, two_k4s, triangle, graph, tag):
+        # One row of another instance, family or mode would cap every later
+        # cell of this MQC sweep at 2 vertices.
+        owner = {"triangle": triangle, "two_k4s": two_k4s}[graph]
+        header = ",".join(CSV_COLUMNS) + f",v2:{owner.fingerprint()}:{tag}"
+        target = tmp_path / "grid.csv"
+        text = header + "\n0.10,optimal,2,true,0.100000,1\n"
+        target.write_text(text, encoding="utf-8")
+        with pytest.raises(GridError, match="holds cells of"):
+            run_grid(two_k4s, GridSpec("blocks", Problem.MQC), target)
+        assert target.read_text(encoding="utf-8") == text
+
+    def test_six_column_file_resumes_without_ceilings(
+        self, tmp_path, two_k4s, monkeypatch
+    ):
+        fresh = tmp_path / "fresh.csv"
+        run_grid(two_k4s, GridSpec("blocks", Problem.MQC), fresh, clock=FakeClock())
+        target = tmp_path / "grid.csv"
+        header = ",".join(CSV_COLUMNS)
+        row = "0.10,optimal,2,true,0.100000,1"
+        target.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        ceilings = self.record_ceilings(monkeypatch)
+        run_grid(two_k4s, GridSpec("blocks", Problem.MQC), target, clock=FakeClock())
+        # The row cannot be trusted, so the first cell solved has no ceiling;
+        # the later ones take the optima this call proved.
+        assert ceilings[0] is None
+        assert target.read_text(encoding="utf-8").splitlines()[0] == header
+        answers = [(c.param, c.status, c.objective) for c in read_cells(target)]
+        assert answers[1:] == [
+            (c.param, c.status, c.objective) for c in read_cells(fresh)
+        ][1:]
 
 
 def _clear_memos() -> None:

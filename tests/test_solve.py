@@ -282,12 +282,20 @@ class TestBranchAndBound:
         roles = data.draw(st.lists(st.sampled_from("cpx"), min_size=g.n, max_size=g.n))
         chosen = [v for v, role in enumerate(roles) if role == "c"]
         pool = [v for v, role in enumerate(roles) if role == "p"]
-        chosen_mask = sum(1 << v for v in chosen)
-        pool_mask = sum(1 << v for v in pool)
         edges = induced_edge_count(g, chosen)
-        bounds = completion_bounds(g.masks, chosen_mask, pool_mask, edges)
-        assert len(bounds) == len(pool) + 1
         size = len(chosen)
+        # The weights 2 a_v + b_v from scratch, one per pool vertex, with the
+        # zero entries the search leaves for vertices dropped from its pool.
+        weights = [
+            2 * len(set(g.neighbors[v]) & set(chosen))
+            + len(set(g.neighbors[v]) & set(pool))
+            for v in pool
+        ]
+        padding = data.draw(st.integers(min_value=0, max_value=4))
+        padded = data.draw(st.permutations(weights + [0] * padding))
+        # The bounds come from the largest take down.
+        bounds = list(completion_bounds(padded, size, edges, len(pool)))[::-1]
+        assert len(bounds) == len(pool) + 1
         missing = size * (size - 1) // 2 - edges
         # The bound it replaces: the top-`take` degrees into chosen | pool.
         into_region = sorted(
@@ -295,14 +303,7 @@ class TestBranchAndBound:
             reverse=True,
         )
         # The bound as documented: half the top-`take` weights 2 a_v + b_v.
-        weights = sorted(
-            (
-                2 * len(set(g.neighbors[v]) & set(chosen))
-                + len(set(g.neighbors[v]) & set(pool))
-                for v in pool
-            ),
-            reverse=True,
-        )
+        weights.sort(reverse=True)
         for take, bound in enumerate(bounds):
             best = max(
                 induced_edge_count(g, chosen + list(extra))
@@ -313,6 +314,7 @@ class TestBranchAndBound:
             assert best <= bound <= old
             cap = t * (t - 1) // 2 - missing
             assert bound == min(edges + sum(weights[:take]) // 2, cap)
+            assert next(completion_bounds(padded, size, edges, take)) == bound
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=40)
@@ -500,6 +502,25 @@ class TestSearchAgainstEnumeration:
             spec = ProblemSpec.mqc(Fraction(i, 20), mode=Connectivity.CSTREE)
             assert_answer(g, spec, branch_and_bound(g, spec), brute_force(g, spec))
 
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_relabelling_keeps_every_answer(self, data):
+        # Relabelling moves the degree ties, so the branching order and every
+        # weight update along it change; the answers must not.
+        g = data.draw(seeded_graphs(max_n=14))
+        label = data.draw(st.permutations(range(g.n)))
+        twin = Graph.build(g.n, [(label[u], label[v]) for u, v in g.edges])
+        gamma = Fraction(data.draw(st.integers(1, 20)), 20)
+        k = data.draw(st.integers(min_value=2, max_value=g.n))
+        for spec in (
+            ProblemSpec.mqc(gamma),
+            ProblemSpec.mqc(gamma, mode=Connectivity.CSTREE),
+            ProblemSpec.dks(k),
+            ProblemSpec.dks(k, mode=Connectivity.CSTREE),
+        ):
+            first, second = branch_and_bound(g, spec), branch_and_bound(twin, spec)
+            assert (first.status, first.objective) == (second.status, second.objective)
+
 
 class TestCeiling:
     """A ceiling at the optimum only skips the proof after it: answers are
@@ -552,20 +573,37 @@ def _probe_graph() -> Graph:
 
 
 class TestNodesToProof:
-    """The missing-pairs budget must prune: on the probe graph these cells
-    took 9,193 and 61,737 nodes with the edge bound alone."""
+    """Exact node counts on the probe graph. The missing-pairs budget took
+    mqc gamma=1 from 9,193 nodes and dks k=5 from 61,737; the weights that
+    travel with each node give the very bounds they replaced, so a count
+    that moves means an update drifted."""
 
     def test_clique_proof(self):
         solution = branch_and_bound(_probe_graph(), ProblemSpec.mqc(Fraction(1)))
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == 4
-        assert solution.nodes_explored <= 1000
+        assert solution.nodes_explored == 213
 
     def test_densest_five_proof(self):
         solution = branch_and_bound(_probe_graph(), ProblemSpec.dks(5))
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == 8
-        assert solution.nodes_explored <= 10_000
+        assert solution.nodes_explored == 3_147
+
+    @pytest.mark.parametrize(
+        "spec, objective, nodes",
+        [
+            (ProblemSpec.mqc(Fraction(9, 10)), 4, 10_647),
+            (ProblemSpec.mqc(Fraction(9, 10), mode=Connectivity.CSTREE), 4, 10_641),
+            (ProblemSpec.dks(5, mode=Connectivity.CSTREE), 8, 3_141),
+        ],
+        ids=["mqc-9/10", "mcqc-9/10", "dcks-5"],
+    )
+    def test_proof_takes_exactly(self, spec, objective, nodes):
+        solution = branch_and_bound(_probe_graph(), spec)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.objective == objective
+        assert solution.nodes_explored == nodes
 
 
 def _hard_instance() -> tuple[Graph, ProblemSpec]:
