@@ -32,6 +32,8 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] | None = field(default=None, compare=False)
+    # Solver memos look graphs up by hash; the edge tuple is hashed once.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -47,6 +49,10 @@ class Graph:
             raise GraphError(
                 f"{len(self.labels)} labels for {self.n} vertices"
             )
+        object.__setattr__(self, "_hash", hash((self.n, self.edges)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def build(
@@ -240,12 +246,19 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(members)
 
 
-def reach(masks: tuple[int, ...], within: int, seed: int) -> int:
+def reach(masks: tuple[int, ...], within: int, seed: int, stop: int = -1) -> int:
     """Vertices reachable from the seed bits inside the `within` mask, given
-    each vertex's neighbor mask."""
+    each vertex's neighbor mask.
+
+    The walk ends early, with part of the reachable set, as soon as it has
+    seen every vertex of the stop mask; the default, every vertex, never
+    ends it early. So the stop vertices are all in the result exactly when
+    they are all reachable, and when they are not, the result is the whole
+    reachable set.
+    """
     seen = seed
     frontier = seed
-    while frontier:
+    while frontier and stop & ~seen:
         grown = 0
         rest = frontier
         while rest:

@@ -31,7 +31,7 @@ from .backend import (
 from .formulations import Connectivity, ProblemSpec, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
 from .milp import LinearConstraint
-from .solve import Limits, Solution, SolveStatus, _Budget, search
+from .solve import Limits, Solution, SolveStatus, _Budget, _warm_fixed, search
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +61,7 @@ def solve_lazy(
     pool: dict[str, LinearConstraint] = {}
     rounds = 0
     nodes = 0
+    ceiling = None
 
     def finish(
         vertices: tuple[int, ...], objective: int, status: SolveStatus
@@ -80,9 +81,8 @@ def solve_lazy(
             remaining = limits.time_seconds - (time.monotonic() - start)
             if remaining <= 0:
                 return finish((), 0, SolveStatus.TIME_LIMIT)
-        status, members, inner_nodes = _solve_inner(
-            g, k, pool, engine, remaining, limits
-        )
+        round_limits = Limits(remaining, limits.memory_bytes, ceiling)
+        status, members, inner_nodes = _solve_inner(g, k, pool, engine, round_limits)
         nodes += inner_nodes
         if status is SolveStatus.INFEASIBLE:
             return finish((), 0, SolveStatus.INFEASIBLE)
@@ -90,10 +90,11 @@ def solve_lazy(
             if members and is_connected(g, members):
                 return finish(members, induced_edge_count(g, members), status)
             return finish((), 0, status)
+        objective = induced_edge_count(g, members)
         if is_connected(g, members):
-            return finish(
-                members, induced_edge_count(g, members), SolveStatus.OPTIMAL
-            )
+            return finish(members, objective, SolveStatus.OPTIMAL)
+        # Cuts only shrink the candidate space: no later round does better.
+        ceiling = objective
         fresh = [cut for cut in lazy_cuts(g, members, k) if cut.tag not in pool]
         if not fresh:
             raise AssertionError(
@@ -116,22 +117,27 @@ def _solve_inner(
     k: int,
     pool: dict[str, LinearConstraint],
     engine: str | BackendConfig,
-    remaining: float | None,
     limits: Limits,
 ) -> tuple[SolveStatus, tuple[int, ...], int]:
-    """One full solve of the edge-count model plus pooled cuts.
+    """One full solve of the edge-count model plus pooled cuts, within the
+    round's share of the limits.
 
     The bnb engine does not read the pooled rows: once the pool is
     non-empty it runs the connected search, which prunes every node the
-    cuts would.
+    cuts would. It starts just below the edges of the round's greedy warm
+    start, but without that set, so its answer is the first best set in
+    its own order; only a round ended by a limit before it recorded a set
+    answers with the warm start. It stops at limits.ceiling, the optimum of
+    the last disconnected round; the other engines ignore the ceiling.
     """
+    remaining = limits.time_seconds
     if engine == "bnb":
-        budget = _Budget(
-            Limits(time_seconds=remaining, memory_bytes=limits.memory_bytes)
-        )
         mode = Connectivity.LAZY if pool else Connectivity.NONE
-        found = search(g, ProblemSpec.dks(k, mode=mode), budget, (-1, None))
-        return found.status, found.vertices, found.nodes_explored
+        spec = ProblemSpec.dks(k, mode=mode)
+        warm, seed = _warm_fixed(g, spec)
+        found = search(g, spec, _Budget(limits), (warm - 1, None), limits.ceiling)
+        # A round cut short before it matched the warm start still has that.
+        return found.status, found.vertices or seed or (), found.nodes_explored
     model, layout = build_m1(g, k)
     for cut in pool.values():
         model.add_constraint(cut.terms, cut.sense, cut.rhs, tag=cut.tag)

@@ -19,6 +19,7 @@ import os
 import resource
 import sys
 import time
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -48,7 +49,7 @@ class Limits:
     """Effort limits for a single solve. None disables a limit.
 
     ceiling, a proven upper bound on the objective, is read by
-    branch_and_bound only (see search).
+    branch_and_bound and the lazy loop's bnb rounds only (see search).
     """
 
     time_seconds: float | None = 3600.0
@@ -292,14 +293,19 @@ class _Seeds:
 
     prefixes holds the greedy sequence's prefixes, prefixes[i] the first
     i + 1 vertices; the connected greedy sequence grows through neighbors,
-    so each of them is connected. by_size holds those prefixes and then the
-    min-degree peeling states (in the connected flavor only the connected
-    ones, since the search could never record the others), stably sorted by
-    descending size, so the first that meets gamma is the warm start.
+    so each of them is connected. The threshold warm start is the first
+    candidate, among those prefixes and then the min-degree peeling states
+    (in the connected flavor only the connected ones, since the search
+    could never record the others) stably sorted by descending size, that
+    meets gamma. records keeps only the candidates denser than every one
+    before them (a set of at most one vertex meets every gamma, so counts
+    as densest): the first that meets gamma meets a gamma that no earlier
+    one meets, so it is a record, and the records that meet gamma are a
+    suffix.
     """
 
     prefixes: tuple[tuple[int, int, int], ...]
-    by_size: tuple[tuple[int, int, int], ...]
+    records: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
@@ -317,15 +323,30 @@ def _seeds(g: Graph, connected: bool) -> _Seeds:
         for c in _peeling_sequence(g)
         if not connected or reach(masks, c[0], c[0] & -c[0]) == c[0]
     ]
-    by_size = sorted(prefixes + peels, key=lambda c: -c[1])
-    return _Seeds(tuple(prefixes), tuple(by_size))
+    records = []
+    for candidate in sorted(prefixes + peels, key=lambda c: -c[1]):
+        if records:
+            _, top_size, top_edges = records[-1]
+            _, size, edges = candidate
+            # Skip a candidate no denser than the last record, comparing
+            # edges / C(size, 2) by cross-multiplication.
+            if top_size <= 1 or (
+                size > 1
+                and edges * top_size * (top_size - 1) <= top_edges * size * (size - 1)
+            ):
+                continue
+        records.append(candidate)
+    return _Seeds(tuple(prefixes), tuple(records))
 
 
 def _warm_threshold(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
-    for mask, size, edges in _seeds(g, spec.connected).by_size:
-        if meets_density(edges, size, spec.gamma):
-            return size, mask_members(mask)
-    return 0, ()
+    records = _seeds(g, spec.connected).records
+    gamma = spec.gamma
+    first = bisect_left(records, True, key=lambda c: meets_density(c[2], c[1], gamma))
+    if first == len(records):
+        return 0, ()
+    mask, size, _ = records[first]
+    return size, mask_members(mask)
 
 
 def _warm_fixed(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...] | None]:
@@ -418,7 +439,7 @@ def search(
 ) -> Solution:
     """The include/exclude depth-first search behind every exact engine.
 
-    A node is (chosen, pool, edges inside chosen, weights), kept in
+    A node is (chosen, pool, edges inside chosen, weights, split), kept in
     branching-rank labels: vertices are relabelled by descending degree
     (ties by id), so the pool's lowest set bit is the branching vertex,
     include branch first. weights[r] is 2 |N(r) & chosen| + |N(r) & pool|
@@ -426,6 +447,20 @@ def search(
     above its lowest bit, so completion_bounds reads the list from there on.
     A child moves the branching vertex out of the pool: each pool neighbor
     loses 1 in the exclude child and gains 1 in the include child.
+
+    split is what the node knows of whether chosen | pool
+    is connected: it is, if every vertex of split lies in one component of
+    it, so at split = 0 it is. Where that can fail, a connected variant
+    walks from chosen's lowest vertex with split as the stop mask (a node
+    with chosen empty does not walk). A walk that reaches all of split
+    proves the union connected; one that cannot runs to the end and gives
+    chosen's component, to which the pool shrinks. Either way the union is
+    then connected and split is 0. The include child keeps the union and
+    split. The exclude child loses the branching vertex v, and each
+    component of the union without v holds a neighbor of v, so it adds v's
+    neighbors in the union to split when there are two or more. A vertex
+    the budget filter drops is added itself: it lies outside the union from
+    then on, so the next walk runs to the end.
 
     The spec sets the record rule: for the density threshold a chosen set
     that meets gamma scores its size; for fixed cardinality a chosen set of
@@ -462,11 +497,12 @@ def search(
     best, members = incumbent
     cap = math.inf if ceiling is None else ceiling
     nodes = 0
-    stack = [] if best >= cap else [(0, (1 << g.n) - 1, 0, list(degrees))]
+    everything = (1 << g.n) - 1
+    stack = [] if best >= cap else [(0, everything, 0, list(degrees), everything)]
     status = SolveStatus.OPTIMAL
     try:
         while stack:
-            chosen, pool, edges, weights = stack.pop()
+            chosen, pool, edges, weights, split = stack.pop()
             nodes += 1
             budget.tick()
             size = chosen.bit_count()
@@ -484,12 +520,15 @@ def search(
             if size == k or not pool:
                 continue
             if connected and chosen:
-                component = reach(masks, chosen | pool, chosen & -chosen)
-                if chosen & ~component:
-                    continue
-                pool = _drop(weights, masks, pool, pool & ~component)
-                if not pool:
-                    continue
+                if split:
+                    component = reach(masks, chosen | pool, chosen & -chosen, split)
+                    if split & ~component:
+                        if chosen & ~component:
+                            continue
+                        pool = _drop(weights, masks, pool, pool & ~component)
+                        if not pool:
+                            continue
+                    split = 0
             missing = size * (size - 1) // 2 - edges
             if threshold:
                 total = min(size + pool.bit_count(), cap)
@@ -520,6 +559,7 @@ def search(
                 pool = _drop(weights, masks, pool, dropped)
                 if not pool:
                     continue
+                split |= dropped
             if not threshold:
                 if size + pool.bit_count() < k:
                     continue
@@ -537,9 +577,11 @@ def search(
                 excluded[r] -= 1
                 weights[r] += 1
                 rest ^= low
-            stack.append((chosen, pool, edges, excluded))
+            near = hood & (chosen | pool)
+            cut = split | near if near & (near - 1) else split
+            stack.append((chosen, pool, edges, excluded, cut))
             gained = (hood & chosen).bit_count()
-            stack.append((chosen | bit, pool, edges + gained, weights))
+            stack.append((chosen | bit, pool, edges + gained, weights, split))
     except _LimitHit as hit:
         status = hit.status
     if best > cap:

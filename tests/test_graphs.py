@@ -20,6 +20,7 @@ from qclique.graphs import (
     oriented_arcs,
     parse_edge_list,
     parse_matrix_market,
+    reach,
     serialize_edge_list,
 )
 
@@ -53,6 +54,16 @@ class TestGraphConstruction:
     def test_labels_length_checked(self):
         with pytest.raises(GraphError):
             Graph(2, (), labels=("a",))
+
+    def test_equality_and_hash_ignore_labels(self):
+        plain = Graph.build(3, [(0, 1), (1, 2)])
+        labelled = Graph.build(3, [(1, 2), (0, 1)], labels="abc")
+        assert plain == labelled
+        assert hash(plain) == hash(labelled)
+        assert plain != Graph.build(3, [(0, 1)])
+        assert repr(labelled) == (
+            "Graph(n=3, edges=((0, 1), (1, 2)), labels=('a', 'b', 'c'))"
+        )
 
 
 class TestParseMatrixMarket:
@@ -236,6 +247,27 @@ class TestConnectivity:
         assert all(list(comp) == sorted(comp) for comp in comps)
         assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
         assert induced_edge_count(g, s) == len(inside)
+
+    @settings(max_examples=300)
+    @given(graphs(min_n=1, max_n=10), st.data())
+    def test_stop_mask_reached_exactly_within_one_component(self, g, data):
+        vertex = st.integers(min_value=0, max_value=g.n - 1)
+        within = data.draw(st.sets(vertex, min_size=1))
+        targets = data.draw(st.sets(st.sampled_from(sorted(within)), min_size=1))
+        seed = data.draw(st.sampled_from(sorted(within)))
+        home = next(set(c) for c in components(g, within) if seed in c)
+        seen = reach(g.masks, _mask(within), 1 << seed, _mask(targets))
+        reached = _mask(targets) & ~seen == 0
+        # With the seed among the targets: all targets lie in one component.
+        assert reached == (targets <= home)
+        assert seen & ~_mask(home) == 0 and seen >> seed & 1
+        if not reached:
+            # A walk that cannot reach every target runs to the end.
+            assert seen == _mask(home)
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
 
 
 class TestBoundaryNeighbors:

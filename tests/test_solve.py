@@ -606,6 +606,52 @@ class TestNodesToProof:
         assert solution.nodes_explored == nodes
 
 
+def test_walk_follows_a_budget_drop():
+    """Two planted blocks, 0..6 and 7..13, in a sparse background. Here the
+    budget filter drops a vertex whose loss splits chosen | pool; the next
+    walk must run to the end and cut the pool, as a walk at every node
+    does: 143 nodes, where skipping it takes 145."""
+    edges = [
+        (0, 2), (0, 3), (0, 4), (0, 6), (0, 9), (0, 14), (1, 2), (1, 3),
+        (1, 4), (1, 6), (1, 9), (1, 20), (2, 5), (2, 17), (3, 5), (3, 6),
+        (3, 19), (3, 21), (3, 23), (4, 5), (4, 6), (4, 16), (5, 6), (5, 15),
+        (5, 16), (5, 21), (6, 20), (6, 21), (7, 8), (7, 9), (7, 11), (7, 13),
+        (7, 17), (8, 9), (8, 10), (8, 11), (8, 12), (8, 14), (9, 10), (9, 11),
+        (9, 12), (9, 13), (9, 18), (9, 19), (10, 11), (10, 12), (10, 14),
+        (11, 12), (11, 13), (11, 15), (11, 18), (12, 13), (12, 19), (12, 20),
+        (13, 16), (13, 23), (16, 18), (18, 22), (22, 23),
+    ]
+    g = Graph.build(24, edges)
+    solution = branch_and_bound(g, ProblemSpec.dks(7, mode=Connectivity.CSTREE))
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == 17
+    assert solution.vertices == tuple(range(7, 14))
+    assert solution.nodes_explored == 143
+
+
+def test_lazy_probe_cell():
+    """The lazy loop's rounds start just below their greedy warm start; its
+    answer is the one it gave from an empty incumbent, in 3,265 nodes."""
+    solution = solve_lazy(_probe_graph(), 5)
+    assert solution.status is SolveStatus.OPTIMAL
+    assert solution.objective == 8
+    assert solution.vertices == (5, 7, 14, 44, 48)
+    assert solution.cut_rounds == 0
+    assert solution.nodes_explored == 3_203
+
+
+def test_lazy_round_cut_short_keeps_its_warm_start():
+    # The densest 10-set of the probe graph takes minutes to prove; the
+    # round ends at the budget's first poll, before it has beaten the
+    # greedy 10-set's 21 edges.
+    g = _probe_graph()
+    solution = solve_lazy(g, 10, limits=Limits(time_seconds=1e-3))
+    assert solution.status is SolveStatus.TIME_LIMIT
+    assert solution.objective >= 21
+    assert len(solution.vertices) == 10 and is_connected(g, solution.vertices)
+    assert induced_edge_count(g, solution.vertices) == solution.objective
+
+
 def _hard_instance() -> tuple[Graph, ProblemSpec]:
     """A seeded instance whose search tree comfortably exceeds one poll."""
     rng = random.Random(4242)
