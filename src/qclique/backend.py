@@ -81,10 +81,9 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if not self.command.strip():
             raise BackendError("backend command is empty")
-        if not 0 < self.time_limit < math.inf:
-            raise BackendError(
-                f"time limit must be positive and finite, got {self.time_limit}"
-            )
+        limit = self.time_limit
+        if isinstance(limit, bool) or not 0 < limit < math.inf:
+            raise BackendError(f"time limit must be positive and finite, got {limit!r}")
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ class FormulationError(ValueError):
 
 
 def _rational_param(value, what: str) -> Fraction:
+    if isinstance(value, bool):
+        raise FormulationError(f"{what} must be a Fraction or int, got {value!r}")
     try:
         return _rational(value, what)
     except ModelError as exc:

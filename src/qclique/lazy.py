@@ -28,7 +28,7 @@ from .backend import (
     solve_external,
     solve_in_process,
 )
-from .formulations import Connectivity, ProblemSpec, build_m1, lazy_cuts
+from .formulations import ProblemSpec, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
 from .milp import LinearConstraint
 from .solve import Limits, Solution, SolveStatus, _Budget, _warm_fixed, search
@@ -132,10 +132,10 @@ def _solve_inner(
     """
     remaining = limits.time_seconds
     if engine == "bnb":
-        mode = Connectivity.LAZY if pool else Connectivity.NONE
-        spec = ProblemSpec.dks(k, mode=mode)
-        warm, seed = _warm_fixed(g, spec)
-        found = search(g, spec, _Budget(limits), (warm - 1, None), limits.ceiling)
+        connected = bool(pool)
+        warm, seed = _warm_fixed(g, k, connected)
+        budget = _Budget(limits)
+        found = search(g, k, connected, budget, (warm - 1, None), limits.ceiling)
         # A round cut short before it matched the warm start still has that.
         return found.status, found.vertices or seed or (), found.nodes_explored
     model, layout = build_m1(g, k)

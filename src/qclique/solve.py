@@ -5,7 +5,8 @@ desk-scale validation only. branch_and_bound handles the same four problems
 (size maximization at a density threshold, edge maximization at a fixed size,
 and their connected variants) with admissible pruning, and must agree with
 the oracle wherever the oracle can run. Its depth-first loop, search, is the
-only one in the package: the cut-separation loop runs it too.
+only one in the package, and fixed-size: a threshold cell runs it as a
+sequence of decisions, and the cut-separation loop runs it too.
 
 Both work in exact integer/rational arithmetic; density thresholds are
 compared by cross-multiplication, never through floats.
@@ -20,7 +21,7 @@ import resource
 import sys
 import time
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -46,10 +47,11 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Limits:
-    """Effort limits for a single solve. None disables a limit.
+    """Effort limits for a single solve: positive finite numbers (not bools),
+    or None to disable a limit.
 
     ceiling, a proven upper bound on the objective, is read by
-    branch_and_bound and the lazy loop's bnb rounds only (see search).
+    branch_and_bound and the lazy loop's bnb rounds only: they stop there.
     """
 
     time_seconds: float | None = 3600.0
@@ -58,7 +60,7 @@ class Limits:
 
     def __post_init__(self) -> None:
         for what, value in (("time", self.time_seconds), ("memory", self.memory_bytes)):
-            if value is not None and not 0 < value < math.inf:
+            if value is not None and (type(value) is bool or not 0 < value < math.inf):
                 raise SolveError(f"{what} limit must be positive and finite, got {value}")
         ceiling = self.ceiling
         if ceiling is not None and (type(ceiling) is not int or ceiling < 0):
@@ -214,6 +216,9 @@ def _brute_fixed(g: Graph, spec: ProblemSpec) -> Solution:
     return Solution(best, best_edges, SolveStatus.OPTIMAL, nodes_explored=explored)
 
 
+# An objective and the vertices that reach it; None for a bare bound.
+_Incumbent = tuple[int, tuple[int, ...] | None]
+
 # Each memo below holds the gamma-free inputs of this many recent graphs. A
 # sweep solves one graph many times; Graph equality ignores labels, and so
 # do the seeds.
@@ -339,9 +344,8 @@ def _seeds(g: Graph, connected: bool) -> _Seeds:
     return _Seeds(tuple(prefixes), tuple(records))
 
 
-def _warm_threshold(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
-    records = _seeds(g, spec.connected).records
-    gamma = spec.gamma
+def _warm_threshold(g: Graph, gamma: Fraction, connected: bool) -> _Incumbent:
+    records = _seeds(g, connected).records
     first = bisect_left(records, True, key=lambda c: meets_density(c[2], c[1], gamma))
     if first == len(records):
         return 0, ()
@@ -349,11 +353,11 @@ def _warm_threshold(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...]]:
     return size, mask_members(mask)
 
 
-def _warm_fixed(g: Graph, spec: ProblemSpec) -> tuple[int, tuple[int, ...] | None]:
-    prefixes = _seeds(g, spec.connected).prefixes
-    if len(prefixes) < spec.k:
+def _warm_fixed(g: Graph, k: int, connected: bool) -> _Incumbent:
+    prefixes = _seeds(g, connected).prefixes
+    if len(prefixes) < k:
         return -1, None
-    mask, _, edges = prefixes[spec.k - 1]
+    mask, _, edges = prefixes[k - 1]
     return edges, mask_members(mask)
 
 
@@ -362,31 +366,77 @@ def branch_and_bound(
 ) -> Solution:
     """Exact solver over include/exclude decisions with admissible bounds.
 
-    Vertices are branched in descending-degree order (ties by id), include
-    branch first, from a greedy warm start; search keeps its sets in that
-    rank order, so the branching vertex is the pool's lowest set bit. A node
-    is pruned when no completion can beat the incumbent: for the density
-    threshold this means no admissible target size survives an exact upper
-    bound on completable edges; for fixed cardinality, the same edge bound
-    at size k. Pool vertices with more non-neighbors in the chosen set than
-    a better set's budget of missing pairs allows are dropped. Connected
-    variants also prune nodes whose chosen set spans more than one component
-    of the remaining graph. Hitting a limit returns the incumbent with the
-    corresponding status instead of raising.
+    A fixed-cardinality cell is one search from the greedy warm start, a
+    density-threshold cell a run of searches (_quasi_clique), all within one
+    budget. The cell ends as optimal once its incumbent reaches
+    limits.ceiling, a proven upper bound; an incumbent above it raises
+    SolveError. A limit returns the best set so far with its status.
     """
     spec.validate_for(g)
     budget = _Budget(limits)
-    warm = _warm_threshold if spec.problem is Problem.MQC else _warm_fixed
-    solution = search(g, spec, budget, warm(g, spec), limits.ceiling)
+    ceiling = limits.ceiling
+    if spec.problem is Problem.MQC:
+        solution = _quasi_clique(g, spec.gamma, spec.connected, budget, ceiling)
+    else:
+        warm = _warm_fixed(g, spec.k, spec.connected)
+        solution = search(g, spec.k, spec.connected, budget, warm, ceiling)
+    if ceiling is not None and solution.objective > ceiling:
+        raise SolveError(f"incumbent {solution.objective} exceeds the ceiling {ceiling}")
     return replace(solution, elapsed=budget.elapsed())
 
 
-def completion_bounds(
-    weights: Sequence[int], size: int, edges: int, takes: int
-) -> Iterator[int]:
-    """Upper bounds on the induced edges of chosen plus `take` pool vertices,
-    for take = takes, takes - 1, ..., 0 in that order (takes is at most the
-    pool's size).
+def _quasi_clique(
+    g: Graph, gamma: Fraction, connected: bool, budget: _Budget, ceiling: int | None
+) -> Solution:
+    """The largest set that meets gamma (connected if asked), by decisions.
+
+    The decision at size t is a search for a t-set with need(t) =
+    ceil(gamma C(t, 2)) edges from need(t) - 1 and no set, stopped at the
+    first set it finds. Removing a minimum-degree vertex never lowers the
+    density, so a set meeting gamma on t + 1 vertices holds one on t
+    (Pattillo, Youssef & Butenko, EJOR 2013): going up from the warm start,
+    the first t that fails proves t - 1 optimal. Connectivity breaks this,
+    so the connected flavor scans down from the ceiling, or else from the
+    optimum without connectivity, whose set answers if connected; the
+    first t that succeeds is optimal, and if none does the warm start is.
+    No decision goes above the ceiling or n.
+    """
+    num, den = gamma.numerator, gamma.denominator
+    nodes = 0
+    status = SolveStatus.OPTIMAL
+
+    def decide(t: int, connected: bool) -> tuple[int, ...]:
+        """A t-set with need(t) edges, or () if none or a limit hit first."""
+        nonlocal nodes, status
+        need = -(-num * t * (t - 1) // (2 * den))
+        found = search(g, t, connected, budget, (need - 1, None), need)
+        nodes += found.nodes_explored
+        if found.status is not SolveStatus.INFEASIBLE:
+            status = found.status
+        return found.vertices
+
+    top = g.n if ceiling is None else min(ceiling, g.n)
+    if not connected or ceiling is None:
+        best, members = _warm_threshold(g, gamma, False)
+        while best < top and status is SolveStatus.OPTIMAL:
+            found = decide(best + 1, False)
+            if not found:
+                break
+            best, members = best + 1, found
+        if not connected or is_connected(g, members):
+            return Solution(members, best, status, nodes_explored=nodes)
+        top = best
+    best, members = _warm_threshold(g, gamma, True)
+    while top > best and status is SolveStatus.OPTIMAL:
+        if found := decide(top, True):
+            best, members = top, found
+        top -= 1
+    return Solution(members, best, status, nodes_explored=nodes)
+
+
+def completion_bound(weights: Sequence[int], size: int, edges: int, take: int) -> int:
+    """An upper bound on the induced edges of chosen plus `take` pool
+    vertices (take is at most the pool's size).
 
     chosen has `size` vertices and `edges` edges inside. With
     a_v = |N(v) & chosen| and b_v = |N(v) & pool|, a completion T adds
@@ -395,22 +445,12 @@ def completion_bounds(
     pool-pool edge is counted once, not twice. weights holds those weights
     and any number of zeros, which change no such sum. The bound is also
     capped by all pairs at the target size minus the pairs already missing
-    in chosen. The bounds come lazily: the first costs a sort and a sum.
+    in chosen.
     """
-    ranked = sorted(weights, reverse=True)
-    twice = 2 * edges + sum(ranked[:takes])
-    t = size + takes
+    t = size + take
     cap = t * (t - 1) // 2 - size * (size - 1) // 2 + edges
-    while True:
-        bound = twice // 2
-        yield bound if bound < cap else cap
-        if t <= size:
-            return
-        # From t to t - 1 vertices: drop the smallest weight taken, and the
-        # cap C(t, 2) - missing falls by t - 1.
-        t -= 1
-        twice -= ranked[t - size]
-        cap -= t
+    bound = edges + sum(sorted(weights, reverse=True)[:take]) // 2
+    return bound if bound < cap else cap
 
 
 def _drop(weights: list[int], masks: tuple[int, ...], pool: int, dropped: int) -> int:
@@ -432,73 +472,54 @@ def _drop(weights: list[int], masks: tuple[int, ...], pool: int, dropped: int) -
 
 def search(
     g: Graph,
-    spec: ProblemSpec,
+    k: int,
+    connected: bool,
     budget: _Budget,
-    incumbent: tuple[int, tuple[int, ...] | None],
-    ceiling: int | None = None,
+    incumbent: _Incumbent,
+    stop: int | None = None,
 ) -> Solution:
-    """The include/exclude depth-first search behind every exact engine.
+    """The include/exclude depth-first search behind every exact engine: the
+    k-set with the most edges, connected if asked, that beats the incumbent.
 
     A node is (chosen, pool, edges inside chosen, weights, split), kept in
     branching-rank labels: vertices are relabelled by descending degree
     (ties by id), so the pool's lowest set bit is the branching vertex,
     include branch first. weights[r] is 2 |N(r) & chosen| + |N(r) & pool|
     for each pool vertex r and 0 for each vertex _drop took out of the pool
-    above its lowest bit, so completion_bounds reads the list from there on.
+    above its lowest bit, so completion_bound reads the list from there on.
     A child moves the branching vertex out of the pool: each pool neighbor
     loses 1 in the exclude child and gains 1 in the include child.
 
-    split is what the node knows of whether chosen | pool
-    is connected: it is, if every vertex of split lies in one component of
-    it, so at split = 0 it is. Where that can fail, a connected variant
-    walks from chosen's lowest vertex with split as the stop mask (a node
-    with chosen empty does not walk). A walk that reaches all of split
-    proves the union connected; one that cannot runs to the end and gives
-    chosen's component, to which the pool shrinks. Either way the union is
-    then connected and split is 0. The include child keeps the union and
-    split. The exclude child loses the branching vertex v, and each
-    component of the union without v holds a neighbor of v, so it adds v's
-    neighbors in the union to split when there are two or more. A vertex
-    the budget filter drops is added itself: it lies outside the union from
-    then on, so the next walk runs to the end.
+    split is what the node knows of whether chosen | pool is connected: it
+    is, if every vertex of split lies in one component of it, so at
+    split = 0 it is. Where that can fail, a connected variant walks from
+    chosen's lowest vertex with split as the stop mask (a node with chosen
+    empty does not walk). A walk that reaches all of split proves the union
+    connected; one that cannot runs to the end and gives chosen's component:
+    the node is pruned if chosen spans two, and else the pool shrinks to it.
+    Either way the union is then connected and split is 0. The include child
+    keeps the union and split. The exclude child loses the branching vertex
+    v, and each component of the union without v holds a neighbor of v, so
+    it adds v's neighbors in the union to split when there are two or more.
+    A vertex the budget filter drops is added itself: it lies outside the
+    union from then on, so the next walk runs to the end.
 
-    The spec sets the record rule: for the density threshold a chosen set
-    that meets gamma scores its size; for fixed cardinality a chosen set of
-    exactly k vertices scores its edges and is a leaf. A scoring set replaces
-    the incumbent (objective, vertices) only if it beats it and is connected
-    when the spec asks for it; only then is it mapped back to sorted
-    original ids. A node is pruned when completion_bounds leaves no
-    completion that can beat the incumbent (for the threshold: no target
-    size whose bound meets gamma), and in connected variants when chosen
-    spans two components of chosen | pool.
-
-    Each node also gets a budget of missing pairs. For the threshold, a
-    better set misses at most C(top, 2) - ceil(gamma * C(top, 2)) pairs,
-    top being the largest target the bound admits (this budget grows with
-    the size, and every larger target failed). At fixed size it misses at
-    most C(k, 2) - best - 1; that budget is known before the bound, so it
-    is applied first and the bound sees the smaller pool. The pool loses
-    every vertex whose non-neighbors in chosen, added to the pairs chosen
-    already misses, exceed the budget. Only subtrees that hold no better
-    set are cut, so the incumbents found are those of the full search.
-    A ceiling, a proven upper bound on the objective, caps the threshold
-    targets and ends the search as optimal once the incumbent reaches it;
-    an incumbent above it raises SolveError.
+    A chosen k-set is a leaf, and replaces the incumbent only if it has
+    more edges and is connected when asked; only then is it mapped back to
+    sorted original ids. A better set misses at most C(k, 2) - best - 1
+    pairs, so the pool loses every vertex whose non-neighbors in chosen,
+    added to the pairs chosen misses, exceed that budget; then a node is
+    pruned when completion_bound admits no better completion. Only subtrees
+    that hold no better set are cut, so the incumbents found are those of
+    the full search. It ends as optimal once the incumbent reaches stop.
     """
     order, masks, degrees = _ranking(g)
-    threshold = spec.problem is Problem.MQC
-    connected = spec.connected
-    k = spec.k
-    if threshold:
-        gamma = spec.gamma
-        num, den = gamma.numerator, gamma.denominator
-    else:
-        k_pairs = k * (k - 1) // 2
+    k_pairs = k * (k - 1) // 2
     best, members = incumbent
-    cap = math.inf if ceiling is None else ceiling
+    goal = math.inf if stop is None else stop
     nodes = 0
     everything = (1 << g.n) - 1
-    stack = [] if best >= cap else [(0, everything, 0, list(degrees), everything)]
+    stack = [] if best >= goal else [(0, everything, 0, list(degrees), everything)]
     status = SolveStatus.OPTIMAL
     try:
         while stack:
@@ -506,16 +527,12 @@ def search(
             nodes += 1
             budget.tick()
             size = chosen.bit_count()
-            if threshold:
-                scores = size > best and meets_density(edges, size, gamma)
-            else:
-                scores = size == k and edges > best
-            if scores and (
+            if size == k and edges > best and (
                 not connected or reach(masks, chosen, chosen & -chosen) == chosen
             ):
-                best = size if threshold else edges
+                best = edges
                 members = tuple(sorted(order[r] for r in mask_members(chosen)))
-                if best >= cap:
+                if best >= goal:
                     break
             if size == k or not pool:
                 continue
@@ -529,23 +546,7 @@ def search(
                         if not pool:
                             continue
                     split = 0
-            missing = size * (size - 1) // 2 - edges
-            if threshold:
-                total = min(size + pool.bit_count(), cap)
-                if total <= best:
-                    continue
-                lo = (pool & -pool).bit_length() - 1
-                tops = range(total, max(best, size - 1), -1)
-                bounds = completion_bounds(weights[lo:], size, edges, total - size)
-                for top, bound in zip(tops, bounds):
-                    if 2 * bound * den >= num * top * (top - 1):
-                        break
-                else:
-                    continue
-                pairs = top * (top - 1) // 2
-                allow = pairs - -(-num * pairs // den) - missing
-            else:
-                allow = k_pairs - best - 1 - missing
+            allow = k_pairs - best - 1 - (size * (size - 1) // 2 - edges)
             # A vertex has at most size non-neighbors in chosen: at
             # allow >= size none is dropped, at allow < 0 all are.
             if allow < size:
@@ -560,12 +561,11 @@ def search(
                 if not pool:
                     continue
                 split |= dropped
-            if not threshold:
-                if size + pool.bit_count() < k:
-                    continue
-                lo = (pool & -pool).bit_length() - 1
-                if next(completion_bounds(weights[lo:], size, edges, k - size)) <= best:
-                    continue
+            if size + pool.bit_count() < k:
+                continue
+            lo = (pool & -pool).bit_length() - 1
+            if completion_bound(weights[lo:], size, edges, k - size) <= best:
+                continue
             bit = pool & -pool
             pool ^= bit
             hood = masks[bit.bit_length() - 1]
@@ -584,8 +584,6 @@ def search(
             stack.append((chosen | bit, pool, edges + gained, weights, split))
     except _LimitHit as hit:
         status = hit.status
-    if best > cap:
-        raise SolveError(f"incumbent {best} exceeds the ceiling {ceiling}")
     if members is None:
         terminal = SolveStatus.INFEASIBLE if status is SolveStatus.OPTIMAL else status
         return Solution((), 0, terminal, nodes_explored=nodes)

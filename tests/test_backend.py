@@ -49,6 +49,11 @@ class TestBackendConfig:
         with pytest.raises(BackendError, match="time limit"):
             BackendConfig(command="solver", time_limit=bad)
 
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_time_limit_refuses_bools(self, bad):
+        with pytest.raises(BackendError, match=f"time limit .* got {bad}"):
+            BackendConfig(command="solver", time_limit=bad)
+
 
 class TestSolveExternal:
     @pytest.mark.parametrize("fmt", [ModelFormat.LP, ModelFormat.MPS])

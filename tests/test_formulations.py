@@ -71,6 +71,11 @@ class TestProblemSpec:
         with pytest.raises(FormulationError, match="float"):
             ProblemSpec.mqc(0.5)
 
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_gamma_refuses_bools(self, bad):
+        with pytest.raises(FormulationError, match="Fraction or int, got"):
+            ProblemSpec.mqc(bad)
+
     def test_dks_requires_integer_k(self):
         spec = ProblemSpec.dks(3)
         assert spec.k == 3

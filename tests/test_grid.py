@@ -65,6 +65,13 @@ class TestGridSpec:
         with pytest.raises(GridError, match="positive"):
             GridSpec(name="toy", family=Problem.DKS, **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"time_limit": True}, {"time_limit": False}, {"memory_bytes": True}]
+    )
+    def test_limits_refuse_bools(self, kwargs):
+        with pytest.raises(GridError, match="limit .* got (True|False)"):
+            GridSpec(name="toy", family=Problem.DKS, **kwargs)
+
     def test_incompatible_mode_rejected(self):
         with pytest.raises(GridError, match="fixed-cardinality"):
             GridSpec(name="toy", family=Problem.MQC, mode=Connectivity.CFLOW)
@@ -459,7 +466,11 @@ class TestSeedMemo:
         spec = GridSpec(name="blocks", family=Problem.MQC, mode=mode)
         row = run_grid(two_k4s, spec, tmp_path / "grid.csv", clock=FakeClock())
         assert row.cells == 91
-        assert sorted(calls) == [("greedy", connected), ("peeling",)]
+        # The connected sweep's first cell has no ceiling, so it bounds its
+        # scan by the optimum without connectivity: both flavors, once each.
+        flavors = [False, True] if connected else [False]
+        expected = [("greedy", f) for f in flavors] + [("peeling",)] * len(flavors)
+        assert sorted(calls) == expected
 
     @pytest.mark.parametrize(
         "family, mode",

@@ -25,7 +25,7 @@ from qclique.solve import (
     _warm_threshold,
     branch_and_bound,
     brute_force,
-    completion_bounds,
+    completion_bound,
     meets_density,
 )
 
@@ -84,6 +84,18 @@ class TestLimits:
         limits = Limits(time_seconds=None, memory_bytes=None)
         assert limits.time_seconds is None
         assert limits.ceiling is None
+
+    @pytest.mark.parametrize(
+        "kwargs, what",
+        [
+            ({"time_seconds": True}, "time limit"),
+            ({"time_seconds": False}, "time limit"),
+            ({"memory_bytes": True}, "memory limit"),
+        ],
+    )
+    def test_bools_are_refused(self, kwargs, what):
+        with pytest.raises(SolveError, match=what):
+            Limits(**kwargs)
 
     @pytest.mark.parametrize("bad", [-1, True, 2.0, Fraction(3), "3"])
     def test_ceiling_must_be_a_nonnegative_int(self, bad):
@@ -293,9 +305,6 @@ class TestBranchAndBound:
         ]
         padding = data.draw(st.integers(min_value=0, max_value=4))
         padded = data.draw(st.permutations(weights + [0] * padding))
-        # The bounds come from the largest take down.
-        bounds = list(completion_bounds(padded, size, edges, len(pool)))[::-1]
-        assert len(bounds) == len(pool) + 1
         missing = size * (size - 1) // 2 - edges
         # The bound it replaces: the top-`take` degrees into chosen | pool.
         into_region = sorted(
@@ -304,7 +313,8 @@ class TestBranchAndBound:
         )
         # The bound as documented: half the top-`take` weights 2 a_v + b_v.
         weights.sort(reverse=True)
-        for take, bound in enumerate(bounds):
+        for take in range(len(pool) + 1):
+            bound = completion_bound(padded, size, edges, take)
             best = max(
                 induced_edge_count(g, chosen + list(extra))
                 for extra in itertools.combinations(pool, take)
@@ -314,7 +324,6 @@ class TestBranchAndBound:
             assert best <= bound <= old
             cap = t * (t - 1) // 2 - missing
             assert bound == min(edges + sum(weights[:take]) // 2, cap)
-            assert next(completion_bounds(padded, size, edges, take)) == bound
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=40)
@@ -405,28 +414,28 @@ class TestWarmStarts:
             for mode in (Connectivity.NONE, Connectivity.CSTREE):
                 gamma = Fraction(data.draw(st.integers(1, 20)), 20)
                 spec = ProblemSpec.mqc(gamma, mode=mode)
-                assert _warm_threshold(g, spec) == reference_warm_threshold(g, spec)
+                warm = _warm_threshold(g, gamma, spec.connected)
+                assert warm == reference_warm_threshold(g, spec)
                 k = data.draw(st.integers(min_value=2, max_value=g.n))
                 spec = ProblemSpec.dks(k, mode=mode)
-                assert _warm_fixed(g, spec) == reference_warm_fixed(g, spec)
+                assert _warm_fixed(g, k, spec.connected) == reference_warm_fixed(g, spec)
 
     def test_connected_flavor_skips_a_disconnected_peeling_state(self):
         # A triangle and a lone vertex: the first peeling state is the whole
         # graph, at density exactly 1/2 but in two pieces.
         g = Graph.build(4, [(0, 1), (0, 2), (1, 2)])
         half = Fraction(1, 2)
-        assert _warm_threshold(g, ProblemSpec.mqc(half)) == (4, (0, 1, 2, 3))
+        assert _warm_threshold(g, half, False) == (4, (0, 1, 2, 3))
         connected = ProblemSpec.mqc(half, mode=Connectivity.CSTREE)
-        assert _warm_threshold(g, connected) == (3, (0, 1, 2))
+        assert _warm_threshold(g, half, True) == (3, (0, 1, 2))
         assert reference_warm_threshold(g, connected) == (3, (0, 1, 2))
 
     def test_equal_structure_shares_seeds_whatever_the_labels(self, two_k4s):
         spec = ProblemSpec.mqc(Fraction(1, 2), mode=Connectivity.CSTREE)
         labelled = Graph(two_k4s.n, two_k4s.edges, tuple("abcdefghijk"))
-        assert _warm_threshold(labelled, spec) == _warm_threshold(two_k4s, spec)
-        assert _warm_threshold(labelled, spec) == reference_warm_threshold(
-            two_k4s, spec
-        )
+        warm = _warm_threshold(labelled, spec.gamma, True)
+        assert warm == _warm_threshold(two_k4s, spec.gamma, True)
+        assert warm == reference_warm_threshold(two_k4s, spec)
 
 
 @st.composite
@@ -554,7 +563,7 @@ class TestCeiling:
     def test_ceiling_below_a_later_record_is_refused(self, two_k4s):
         # The warm start has 10 edges; the search's first record has 12.
         spec = ProblemSpec.dks(8)
-        assert _warm_fixed(two_k4s, spec)[0] == 10
+        assert _warm_fixed(two_k4s, 8, False)[0] == 10
         with pytest.raises(SolveError, match="incumbent 12 exceeds the ceiling 11"):
             branch_and_bound(two_k4s, spec, Limits(ceiling=11))
 
@@ -573,16 +582,17 @@ def _probe_graph() -> Graph:
 
 
 class TestNodesToProof:
-    """Exact node counts on the probe graph. The missing-pairs budget took
-    mqc gamma=1 from 9,193 nodes and dks k=5 from 61,737; the weights that
-    travel with each node give the very bounds they replaced, so a count
-    that moves means an update drifted."""
+    """Exact node counts, mostly on the probe graph. A threshold cell counts
+    the nodes of all its fixed-size decisions; each decision stops at the
+    first set that qualifies, so a decision that went on to optimise DKS(t)
+    would count more. The weights that travel with each node give the very
+    bounds a recount would, so a count that moves means an update drifted."""
 
     def test_clique_proof(self):
         solution = branch_and_bound(_probe_graph(), ProblemSpec.mqc(Fraction(1)))
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == 4
-        assert solution.nodes_explored == 213
+        assert solution.nodes_explored == 111
 
     def test_densest_five_proof(self):
         solution = branch_and_bound(_probe_graph(), ProblemSpec.dks(5))
@@ -593,17 +603,31 @@ class TestNodesToProof:
     @pytest.mark.parametrize(
         "spec, objective, nodes",
         [
-            (ProblemSpec.mqc(Fraction(9, 10)), 4, 10_647),
-            (ProblemSpec.mqc(Fraction(9, 10), mode=Connectivity.CSTREE), 4, 10_641),
+            (ProblemSpec.mqc(Fraction(9, 10)), 4, 3_147),
+            (ProblemSpec.mqc(Fraction(9, 10), mode=Connectivity.CSTREE), 4, 3_147),
+            (ProblemSpec.mqc(Fraction(3, 4)), 5, 39_221),
+            (ProblemSpec.mqc(Fraction(3, 4), mode=Connectivity.CSTREE), 5, 39_221),
             (ProblemSpec.dks(5, mode=Connectivity.CSTREE), 8, 3_141),
         ],
-        ids=["mqc-9/10", "mcqc-9/10", "dcks-5"],
+        ids=["mqc-9/10", "mcqc-9/10", "mqc-3/4", "mcqc-3/4", "dcks-5"],
     )
     def test_proof_takes_exactly(self, spec, objective, nodes):
         solution = branch_and_bound(_probe_graph(), spec)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == objective
         assert solution.nodes_explored == nodes
+
+    @pytest.mark.parametrize("mode", [Connectivity.NONE, Connectivity.CSTREE])
+    def test_decisions_stop_at_the_first_set(self, mode):
+        # On the probe graph every pinned warm start is optimal, so every
+        # decision fails. On G(40, 0.2) from seed 1 the warm start has 3
+        # vertices and the optimum 5: the decisions at 4 and 5 succeed, and
+        # going on to the densest 4- and 5-sets would take 359 nodes.
+        g = random_graph(random.Random(1), 40, 0.2)
+        solution = branch_and_bound(g, ProblemSpec.mqc(Fraction(9, 10), mode=mode))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.vertices == (3, 21, 22, 24, 33)
+        assert solution.nodes_explored == 310
 
 
 def test_walk_follows_a_budget_drop():
@@ -676,6 +700,16 @@ class TestResourceLimits:
             len(solution.vertices),
             spec.gamma,
         )
+
+    def test_connected_cell_cut_short_keeps_a_connected_set(self):
+        g, spec = _hard_instance()
+        spec = ProblemSpec.mqc(spec.gamma, mode=Connectivity.CSTREE)
+        solution = branch_and_bound(g, spec, Limits(time_seconds=1e-9))
+        assert solution.status is SolveStatus.TIME_LIMIT
+        assert solution.objective == len(solution.vertices) > 0
+        assert is_connected(g, solution.vertices)
+        edges = induced_edge_count(g, solution.vertices)
+        assert meets_density(edges, len(solution.vertices), spec.gamma)
 
     def test_memory_limit_returns_incumbent(self):
         g, spec = _hard_instance()
