@@ -39,9 +39,9 @@ from .lpio import FormatError, export_lp, export_mps
 from .milp import ModelError
 from .solve import Limits, SolveError, SolveStatus
 
-# The library's engines plus two spellings only the CLI knows: "backend"
-# (the QCLIQUE_BACKEND_CMD process) and "lazy" (cut separation).
-ENGINE_CHOICES = (*ENGINES, "backend", "lazy")
+# The library's engines plus one spelling only the CLI knows: "backend"
+# (the QCLIQUE_BACKEND_CMD process).
+ENGINE_CHOICES = (*ENGINES, "backend")
 
 EXIT_SOLVED = 0
 EXIT_INFEASIBLE = 2
@@ -112,15 +112,8 @@ def _problem_spec(args, mode: Connectivity) -> ProblemSpec:
     raise CliError("pass --gamma (threshold problem) or --k (cardinality problem)")
 
 
-def _resolve_engine(args, mode: Connectivity):
-    """Final (engine, mode) pair; --engine lazy is mode sugar."""
-    if args.engine == "lazy":
-        if mode not in (Connectivity.NONE, Connectivity.LAZY):
-            raise CliError(
-                f"--engine lazy conflicts with --mode {mode.value}; "
-                "the separation loop is its own connectivity mode"
-            )
-        return "bnb", Connectivity.LAZY
+def _resolve_engine(args):
+    """The engine --engine names, with "backend" made a BackendConfig."""
     if args.engine == "backend":
         command = os.environ.get("QCLIQUE_BACKEND_CMD", "")
         if not command.strip():
@@ -129,8 +122,8 @@ def _resolve_engine(args, mode: Connectivity):
                 "variable (a command template with {model}/{solution}/"
                 "{timelimit} placeholders)"
             )
-        return BackendConfig(command=command, time_limit=args.time_limit), mode
-    return args.engine, mode
+        return BackendConfig(command=command, time_limit=args.time_limit)
+    return args.engine
 
 
 def _certificate_line(g: Graph, vertices: tuple[int, ...]) -> str:
@@ -176,9 +169,8 @@ def _emit_model(g: Graph, spec: ProblemSpec, lp_path, mps_path) -> None:
 
 def cmd_solve(args) -> int:
     g = load_graph(args.instance)
-    mode = Connectivity(args.mode)
-    engine, mode = _resolve_engine(args, mode)
-    spec = _problem_spec(args, mode)
+    engine = _resolve_engine(args)
+    spec = _problem_spec(args, Connectivity(args.mode))
     if args.emit_lp or args.emit_mps:
         _emit_model(g, spec, args.emit_lp, args.emit_mps)
         return EXIT_SOLVED
@@ -216,11 +208,11 @@ def cmd_solve(args) -> int:
 def cmd_grid(args) -> int:
     g = load_graph(args.instance)
     name = Path(args.instance).stem
-    engine, mode = _resolve_engine(args, Connectivity(args.mode))
+    engine = _resolve_engine(args)
     spec = GridSpec(
         name=name,
         family=Problem(args.family),
-        mode=mode,
+        mode=Connectivity(args.mode),
         engine=engine,
         time_limit=args.time_limit,
         memory_bytes=args.mem_limit,

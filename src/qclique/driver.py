@@ -76,18 +76,17 @@ def solve_problem(
 
     engine is "bnb" (branch and bound), "brute" (exhaustive oracle),
     "milp" (bundled HiGHS on the built model), or a BackendConfig for an
-    external process. LAZY mode always runs the separation loop, reusing
-    the engine for its inner solves ("brute" falls back to "bnb" there).
+    external process. The combinatorial engines read every connectivity
+    mode alike; on a model engine, LAZY mode runs the separation loop.
     """
     check_engine(engine)
     spec.validate_for(g)
-    if spec.mode is Connectivity.LAZY:
-        inner = "bnb" if engine == "brute" else engine
-        return solve_lazy(g, spec.k, engine=inner, limits=limits)
     if engine == "bnb":
         return branch_and_bound(g, spec, limits)
     if engine == "brute":
         return brute_force(g, spec)
+    if spec.mode is Connectivity.LAZY:
+        return solve_lazy(g, spec.k, engine=engine, limits=limits)
     return _solve_through_model(g, spec, engine, limits)
 
 

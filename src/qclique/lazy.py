@@ -7,11 +7,10 @@ neighbor) and re-solves with the accumulated pool. A disconnected answer
 always violates at least one of its own cuts, so every round strictly
 shrinks the candidate space and the loop terminates.
 
-Three interchangeable inner optimizers are supported: "bnb" runs the
-shared branch-and-bound search, unconstrained in the first round and
-connected once a round has come back disconnected, so it needs at most one
-cut round; "milp" solves the built model with the bundled HiGHS engine;
-and a BackendConfig routes the model to an external solver process.
+Two interchangeable inner optimizers read the pooled cuts: "milp" solves
+the built model with the bundled HiGHS engine, and a BackendConfig routes
+it to an external solver process. The combinatorial engines take no cut
+rows; they solve the LAZY mode like any other connected mode.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import logging
 import time
 from dataclasses import replace
 
-from . import backend
 from .backend import (
     BackendConfig,
     check_engine,
@@ -31,25 +29,25 @@ from .backend import (
 from .formulations import ProblemSpec, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
 from .milp import LinearConstraint
-from .solve import Limits, Solution, SolveStatus, _Budget, _warm_fixed, search
+from .solve import Limits, Solution, SolveStatus
 
 logger = logging.getLogger(__name__)
 
-# The registry without the exhaustive oracle, which has no cut loop.
-ENGINES = tuple(name for name in backend.ENGINES if name != "brute")
+# The named engines whose model holds the pooled cuts (a BackendConfig is
+# accepted too); the combinatorial ones solve LAZY mode like any other.
+ENGINES = ("milp",)
 
 
 def solve_lazy(
     g: Graph,
     k: int,
-    engine: str | BackendConfig = "bnb",
+    engine: str | BackendConfig = "milp",
     limits: Limits = Limits(),
 ) -> Solution:
     """Largest edge count over connected k-vertex sets, via cut rounds.
 
-    engine is "bnb" (the shared search, the default; it needs at most one
-    cut round), "milp" (bundled HiGHS), or a BackendConfig for an external
-    process. The returned Solution is either connected-and-optimal,
+    engine is "milp" (bundled HiGHS, the default) or a BackendConfig for an
+    external process. The returned Solution is either connected-and-optimal,
     infeasible (no connected k-set exists), or a limit status; cut_rounds
     counts the separation rounds that were needed. The time limit spans all
     rounds together.
@@ -61,7 +59,6 @@ def solve_lazy(
     pool: dict[str, LinearConstraint] = {}
     rounds = 0
     nodes = 0
-    ceiling = None
 
     def finish(
         vertices: tuple[int, ...], objective: int, status: SolveStatus
@@ -81,8 +78,7 @@ def solve_lazy(
             remaining = limits.time_seconds - (time.monotonic() - start)
             if remaining <= 0:
                 return finish((), 0, SolveStatus.TIME_LIMIT)
-        round_limits = Limits(remaining, limits.memory_bytes, ceiling)
-        status, members, inner_nodes = _solve_inner(g, k, pool, engine, round_limits)
+        status, members, inner_nodes = _solve_inner(g, k, pool, engine, remaining)
         nodes += inner_nodes
         if status is SolveStatus.INFEASIBLE:
             return finish((), 0, SolveStatus.INFEASIBLE)
@@ -90,11 +86,8 @@ def solve_lazy(
             if members and is_connected(g, members):
                 return finish(members, induced_edge_count(g, members), status)
             return finish((), 0, status)
-        objective = induced_edge_count(g, members)
         if is_connected(g, members):
-            return finish(members, objective, SolveStatus.OPTIMAL)
-        # Cuts only shrink the candidate space: no later round does better.
-        ceiling = objective
+            return finish(members, induced_edge_count(g, members), SolveStatus.OPTIMAL)
         fresh = [cut for cut in lazy_cuts(g, members, k) if cut.tag not in pool]
         if not fresh:
             raise AssertionError(
@@ -117,27 +110,10 @@ def _solve_inner(
     k: int,
     pool: dict[str, LinearConstraint],
     engine: str | BackendConfig,
-    limits: Limits,
+    remaining: float | None,
 ) -> tuple[SolveStatus, tuple[int, ...], int]:
     """One full solve of the edge-count model plus pooled cuts, within the
-    round's share of the limits.
-
-    The bnb engine does not read the pooled rows: once the pool is
-    non-empty it runs the connected search, which prunes every node the
-    cuts would. It starts just below the edges of the round's greedy warm
-    start, but without that set, so its answer is the first best set in
-    its own order; only a round ended by a limit before it recorded a set
-    answers with the warm start. It stops at limits.ceiling, the optimum of
-    the last disconnected round; the other engines ignore the ceiling.
-    """
-    remaining = limits.time_seconds
-    if engine == "bnb":
-        connected = bool(pool)
-        warm, seed = _warm_fixed(g, k, connected)
-        budget = _Budget(limits)
-        found = search(g, k, connected, budget, (warm - 1, None), limits.ceiling)
-        # A round cut short before it matched the warm start still has that.
-        return found.status, found.vertices or seed or (), found.nodes_explored
+    time the rounds have left."""
     model, layout = build_m1(g, k)
     for cut in pool.values():
         model.add_constraint(cut.terms, cut.sense, cut.rhs, tag=cut.tag)

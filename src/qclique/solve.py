@@ -6,7 +6,7 @@ desk-scale validation only. branch_and_bound handles the same four problems
 and their connected variants) with admissible pruning, and must agree with
 the oracle wherever the oracle can run. Its depth-first loop, search, is the
 only one in the package, and fixed-size: a threshold cell runs it as a
-sequence of decisions, and the cut-separation loop runs it too.
+sequence of decisions.
 
 Both work in exact integer/rational arithmetic; density thresholds are
 compared by cross-multiplication, never through floats.
@@ -51,7 +51,7 @@ class Limits:
     or None to disable a limit.
 
     ceiling, a proven upper bound on the objective, is read by
-    branch_and_bound and the lazy loop's bnb rounds only: they stop there.
+    branch_and_bound only: it stops there.
     """
 
     time_seconds: float | None = 3600.0
@@ -271,9 +271,11 @@ def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
     return chosen
 
 
-def _peeling_sequence(g: Graph) -> list[tuple[int, int, int]]:
+@lru_cache(maxsize=_MEMO_GRAPHS)
+def _peeling_sequence(g: Graph) -> tuple[tuple[int, int, int], ...]:
     """Sets, as (mask, size, induced edge count), obtained by repeatedly
-    removing a minimum-degree vertex."""
+    removing a minimum-degree vertex; worked out once per graph for both
+    flavors of seeds."""
     alive = set(range(g.n))
     degrees = {v: g.degree(v) for v in alive}
     mask = (1 << g.n) - 1
@@ -288,7 +290,7 @@ def _peeling_sequence(g: Graph) -> list[tuple[int, int, int]]:
         for w in g.neighbors[victim]:
             if w in alive:
                 degrees[w] -= 1
-    return states
+    return tuple(states)
 
 
 @dataclass(frozen=True)
@@ -366,7 +368,8 @@ def branch_and_bound(
 ) -> Solution:
     """Exact solver over include/exclude decisions with admissible bounds.
 
-    A fixed-cardinality cell is one search from the greedy warm start, a
+    A fixed-cardinality cell is one search from the greedy warm start, or
+    two for a connected cell without a ceiling (_connected_dense_k), and a
     density-threshold cell a run of searches (_quasi_clique), all within one
     budget. The cell ends as optimal once its incumbent reaches
     limits.ceiling, a proven upper bound; an incumbent above it raises
@@ -377,6 +380,8 @@ def branch_and_bound(
     ceiling = limits.ceiling
     if spec.problem is Problem.MQC:
         solution = _quasi_clique(g, spec.gamma, spec.connected, budget, ceiling)
+    elif spec.connected and ceiling is None:
+        solution = _connected_dense_k(g, spec.k, budget)
     else:
         warm = _warm_fixed(g, spec.k, spec.connected)
         solution = search(g, spec.k, spec.connected, budget, warm, ceiling)
@@ -432,6 +437,24 @@ def _quasi_clique(
             best, members = top, found
         top -= 1
     return Solution(members, best, status, nodes_explored=nodes)
+
+
+def _connected_dense_k(g: Graph, k: int, budget: _Budget) -> Solution:
+    """The densest connected k-set: the densest k-set if it is connected,
+    else the connected search stopped at that set's edge count, a proven
+    ceiling. Both start from their greedy warm start; a limit in the first
+    search answers with the connected one, never a disconnected set.
+    """
+    free = search(g, k, False, budget, _warm_fixed(g, k, False))
+    if free.status is SolveStatus.OPTIMAL and is_connected(g, free.vertices):
+        return free
+    warm = _warm_fixed(g, k, True)
+    if free.status is SolveStatus.OPTIMAL:
+        found = search(g, k, True, budget, warm, free.objective)
+    else:
+        edges, members = warm
+        found = Solution(members or (), max(edges, 0), free.status)
+    return replace(found, nodes_explored=free.nodes_explored + found.nodes_explored)
 
 
 def completion_bound(weights: Sequence[int], size: int, edges: int, take: int) -> int:

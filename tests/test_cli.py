@@ -121,28 +121,21 @@ class TestSolve:
 
     def test_lazy_engine_reports_rounds(self, tmp_path, capsys, two_k4s):
         code = main(
-            ["solve", write_graph(tmp_path, two_k4s), "--k", "8", "--engine", "lazy"]
-        )
-        out = capsys.readouterr().out
-        assert code == EXIT_SOLVED
-        assert "10 edges, connected, Optimal" in out
-        assert "cut rounds:" in out
-
-    def test_lazy_engine_rejects_other_modes(self, tmp_path, capsys, two_k4s):
-        code = main(
             [
                 "solve",
                 write_graph(tmp_path, two_k4s),
                 "--k",
                 "8",
                 "--engine",
-                "lazy",
+                "milp",
                 "--mode",
-                "cstree",
+                "lazy",
             ]
         )
-        assert code == EXIT_INPUT
-        assert "conflicts" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert code == EXIT_SOLVED
+        assert "10 edges, connected, Optimal" in out
+        assert "cut rounds:" in out
 
     def test_gamma_and_k_are_exclusive(self, tmp_path, capsys, triangle):
         path = write_graph(tmp_path, triangle)
@@ -598,4 +591,4 @@ class TestParser:
             for action in commands.choices[command]._actions
             if "--engine" in action.option_strings
         )
-        assert tuple(engine.choices) == (*driver.ENGINES, "backend", "lazy")
+        assert tuple(engine.choices) == (*driver.ENGINES, "backend")

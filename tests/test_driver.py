@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -82,11 +83,14 @@ class TestSolveProblem:
         assert solution.objective == 12
         assert solution.vertices == (0, 1, 2, 3, 4, 5, 6, 7)
 
-    def test_brute_engine_with_separation_falls_back(self, two_k4s):
+    def test_brute_engine_enumerates_lazy_mode(self, two_k4s):
+        # Separation has no oracle of its own: LAZY is one more connected mode.
         spec = ProblemSpec.dks(8, mode=Connectivity.LAZY)
         solution = solve_problem(two_k4s, spec, engine="brute")
+        exact = brute_force(two_k4s, ProblemSpec.dks(8, mode=Connectivity.CFLOW))
+        assert replace(solution, elapsed=0.0) == replace(exact, elapsed=0.0)
         assert solution.objective == 10
-        assert solution.cut_rounds >= 1
+        assert solution.cut_rounds is None
 
     def test_external_backend_route(self, two_k4s):
         cfg = BackendConfig(command=HIGHS_BACKEND)

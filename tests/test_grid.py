@@ -435,6 +435,7 @@ class TestCeilings:
 
 def _clear_memos() -> None:
     solve._seeds.cache_clear()
+    solve._peeling_sequence.cache_clear()
     solve._ranking.cache_clear()
 
 
@@ -451,26 +452,22 @@ class TestSeedMemo:
     ):
         _clear_memos()
         calls = []
-        greedy, peeling = solve._greedy_sequence, solve._peeling_sequence
+        greedy = solve._greedy_sequence
 
         def counted_greedy(g, flavor):
             calls.append(("greedy", flavor))
             return greedy(g, flavor)
 
-        def counted_peeling(g):
-            calls.append(("peeling",))
-            return peeling(g)
-
         monkeypatch.setattr(solve, "_greedy_sequence", counted_greedy)
-        monkeypatch.setattr(solve, "_peeling_sequence", counted_peeling)
         spec = GridSpec(name="blocks", family=Problem.MQC, mode=mode)
         row = run_grid(two_k4s, spec, tmp_path / "grid.csv", clock=FakeClock())
         assert row.cells == 91
         # The connected sweep's first cell has no ceiling, so it bounds its
-        # scan by the optimum without connectivity: both flavors, once each.
+        # scan by the optimum without connectivity: both flavors, once each,
+        # from one peeling of the graph, which is memoised itself.
         flavors = [False, True] if connected else [False]
-        expected = [("greedy", f) for f in flavors] + [("peeling",)] * len(flavors)
-        assert sorted(calls) == expected
+        assert sorted(calls) == [("greedy", f) for f in flavors]
+        assert solve._peeling_sequence.cache_info().misses == 1
 
     @pytest.mark.parametrize(
         "family, mode",

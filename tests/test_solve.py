@@ -6,6 +6,7 @@ import itertools
 import os
 import random
 import resource
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from qclique.solve import (
     Limits,
     SolveError,
     SolveStatus,
+    _Budget,
     _resident_bytes,
     _warm_fixed,
     _warm_threshold,
@@ -27,6 +29,7 @@ from qclique.solve import (
     brute_force,
     completion_bound,
     meets_density,
+    search,
 )
 
 from conftest import graphs, make_two_k4s, random_graph
@@ -473,40 +476,44 @@ class TestSearchAgainstEnumeration:
             ProblemSpec.mqc(gamma),
             ProblemSpec.mqc(gamma, mode=Connectivity.CSTREE),
             ProblemSpec.dks(k),
-            ProblemSpec.dks(k, mode=Connectivity.CFLOW),
         ):
             assert_answer(g, spec, branch_and_bound(g, spec), brute_force(g, spec))
-        spec = ProblemSpec.dks(k, mode=Connectivity.LAZY)
-        exact = brute_force(g, ProblemSpec.dks(k, mode=Connectivity.CFLOW))
-        lazy = solve_lazy(g, k, engine="bnb")
-        assert_answer(g, spec, lazy, exact)
-        assert lazy.cut_rounds <= 1
+        # Every connected DKS mode is one problem to bnb, with one answer.
+        modes = (Connectivity.CSTREE, Connectivity.CFLOW, Connectivity.LAZY)
+        first, *others = (
+            replace(solve_problem(g, ProblemSpec.dks(k, mode=mode)), elapsed=0.0)
+            for mode in modes
+        )
+        assert all(other == first for other in others)
+        assert first.cut_rounds is None
+        spec = ProblemSpec.dks(k, mode=Connectivity.CFLOW)
+        assert_answer(g, spec, first, brute_force(g, spec))
 
     def test_one_cut_round_answers(self):
-        # The unconstrained optimum is disconnected; the round after its cuts
-        # must answer exactly, where re-solving under the cuts alone needs a
-        # second round.
+        # The unconstrained optimum is disconnected, so the connected search
+        # runs, stopped at that optimum's edge count, and must answer exactly.
         g = Graph.build(
             9, [(0, 7), (0, 8), (1, 4), (1, 8), (2, 3), (2, 6), (3, 6), (5, 6)]
         )
         exact = brute_force(g, ProblemSpec.dks(5, mode=Connectivity.CFLOW))
         assert exact.objective == 4
-        solution = solve_lazy(g, 5)
+        solution = solve_problem(g, ProblemSpec.dks(5, mode=Connectivity.LAZY))
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.vertices == (0, 1, 4, 7, 8)
         assert solution.objective == exact.objective
-        assert solution.cut_rounds == 1
+        assert solution.cut_rounds is None
 
     def test_cut_rounds_under_a_hub_led_order(self):
         # A triangle on 0, 2, 3 and a star centred on 4: the branching order
         # starts 4, 0, 2, 3, and the densest 4-set (the triangle and a star
-        # edge) is disconnected, so the lazy loop must cut it off.
+        # edge) is disconnected: the cut loop, on HiGHS, must cut it off,
+        # and bnb must go on to its connected search.
         g = Graph.build(9, [(0, 2), (0, 3), (2, 3), (4, 5), (4, 7), (4, 8)])
         assert solve_lazy(g, 4).cut_rounds >= 1
         for k in range(2, 10):
             spec = ProblemSpec.dks(k, mode=Connectivity.LAZY)
             exact = brute_force(g, ProblemSpec.dks(k, mode=Connectivity.CFLOW))
-            assert_answer(g, spec, solve_lazy(g, k, engine="bnb"), exact)
+            assert_answer(g, spec, solve_problem(g, spec), exact)
         for i in range(1, 21):
             spec = ProblemSpec.mqc(Fraction(i, 20), mode=Connectivity.CSTREE)
             assert_answer(g, spec, branch_and_bound(g, spec), brute_force(g, spec))
@@ -607,7 +614,7 @@ class TestNodesToProof:
             (ProblemSpec.mqc(Fraction(9, 10), mode=Connectivity.CSTREE), 4, 3_147),
             (ProblemSpec.mqc(Fraction(3, 4)), 5, 39_221),
             (ProblemSpec.mqc(Fraction(3, 4), mode=Connectivity.CSTREE), 5, 39_221),
-            (ProblemSpec.dks(5, mode=Connectivity.CSTREE), 8, 3_141),
+            (ProblemSpec.dks(5, mode=Connectivity.CSTREE), 8, 3_147),
         ],
         ids=["mqc-9/10", "mcqc-9/10", "mqc-3/4", "mcqc-3/4", "dcks-5"],
     )
@@ -646,7 +653,9 @@ def test_walk_follows_a_budget_drop():
         (13, 16), (13, 23), (16, 18), (18, 22), (22, 23),
     ]
     g = Graph.build(24, edges)
-    solution = branch_and_bound(g, ProblemSpec.dks(7, mode=Connectivity.CSTREE))
+    # branch_and_bound answers this cell without connectivity: search here.
+    warm = _warm_fixed(g, 7, True)
+    solution = search(g, 7, True, _Budget(Limits()), warm)
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == 17
     assert solution.vertices == tuple(range(7, 14))
@@ -654,22 +663,25 @@ def test_walk_follows_a_budget_drop():
 
 
 def test_lazy_probe_cell():
-    """The lazy loop's rounds start just below their greedy warm start; its
-    answer is the one it gave from an empty incumbent, in 3,265 nodes."""
-    solution = solve_lazy(_probe_graph(), 5)
+    """bnb solves LAZY mode as every connected mode: the densest 5-set of
+    the probe graph is connected, so the search without connectivity proves
+    it, in 3,147 nodes, and no cut round runs."""
+    spec = ProblemSpec.dks(5, mode=Connectivity.LAZY)
+    solution = solve_problem(_probe_graph(), spec, "bnb")
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == 8
     assert solution.vertices == (5, 7, 14, 44, 48)
-    assert solution.cut_rounds == 0
-    assert solution.nodes_explored == 3_203
+    assert solution.cut_rounds is None
+    assert solution.nodes_explored == 3_147
 
 
 def test_lazy_round_cut_short_keeps_its_warm_start():
     # The densest 10-set of the probe graph takes minutes to prove; the
-    # round ends at the budget's first poll, before it has beaten the
-    # greedy 10-set's 21 edges.
+    # search without connectivity ends at the budget's first poll, so the
+    # cell answers with the connected greedy 10-set's 21 edges.
     g = _probe_graph()
-    solution = solve_lazy(g, 10, limits=Limits(time_seconds=1e-3))
+    spec = ProblemSpec.dks(10, mode=Connectivity.LAZY)
+    solution = solve_problem(g, spec, "bnb", Limits(time_seconds=1e-3))
     assert solution.status is SolveStatus.TIME_LIMIT
     assert solution.objective >= 21
     assert len(solution.vertices) == 10 and is_connected(g, solution.vertices)
