@@ -3,7 +3,8 @@
 A backend is any executable that accepts a model file and writes a solution
 file: the command is a template whose {model}, {solution} and {timelimit}
 placeholders are substituted per token. The solution file carries one
-"name value" line per variable (missing names default to zero) or a single
+"name value" line per variable (missing names default to zero), optionally
+after a first line "# nodes N" with the solver's node count, or a single
 INFEASIBLE / TIMELIMIT marker as its first token.
 
 Nothing a backend reports is trusted: assignments are re-checked against
@@ -28,7 +29,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .lpio import FormatError, export_lp, export_mps, parse_solution_file
-from .milp import LinearModel
+from .milp import Exact, LinearModel
 from .solve import SolveError, SolveStatus
 
 TOLERANCE = Fraction(1, 10**6)
@@ -88,9 +89,12 @@ class BackendConfig:
 
 @dataclass(frozen=True)
 class BackendResult:
+    """nodes is the count from an answer's "# nodes N" line; 0 without one."""
+
     status: SolveStatus
-    assignment: dict[str, Fraction] | None
+    assignment: dict[str, Exact] | None
     elapsed: float
+    nodes: int = 0
 
 
 def _substitute(command: str, mapping: dict[str, str]) -> list[str]:
@@ -113,9 +117,10 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
 
     Returns OPTIMAL with the checked assignment, or INFEASIBLE / TIME_LIMIT
     (assignment None) when the output file starts with the corresponding
-    marker or the process outlives its limit. Raises BackendProcessError for
-    crashes and unusable files, BackendValidationError for assignments that
-    violate the model beyond the fixed tolerance.
+    marker or the process outlives its limit; an answer's leading "# nodes N"
+    line sets the result's node count. Raises BackendProcessError for crashes
+    and unusable files, BackendValidationError for assignments that violate
+    the model beyond the fixed tolerance.
     """
     start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="qclique-backend-") as scratch:
@@ -171,15 +176,19 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
         return BackendResult(SolveStatus.INFEASIBLE, None, elapsed)
     if marker == "TIMELIMIT":
         return BackendResult(SolveStatus.TIME_LIMIT, None, elapsed)
+    words = text.partition("\n")[0].split()
+    nodes = 0
+    if len(words) == 3 and words[:2] == ["#", "nodes"] and words[2].isdecimal():
+        nodes = int(words[2])
     try:
         assignment = parse_solution_file(model, text)
     except FormatError as exc:
         raise BackendProcessError(f"unusable solution file: {exc}") from None
     check_assignment(model, assignment)
-    return BackendResult(SolveStatus.OPTIMAL, assignment, elapsed)
+    return BackendResult(SolveStatus.OPTIMAL, assignment, elapsed, nodes)
 
 
-def check_assignment(model: LinearModel, assignment: dict[str, Fraction]) -> None:
+def check_assignment(model: LinearModel, assignment: dict[str, Exact]) -> None:
     """Re-check a solver's assignment against the exact model.
 
     Every row and bound must hold and every binary must be integral, each
@@ -199,7 +208,7 @@ def check_assignment(model: LinearModel, assignment: dict[str, Fraction]) -> Non
         )
 
 
-def extract_vertex_set(layout, assignment: dict[str, Fraction]) -> tuple[int, ...]:
+def extract_vertex_set(layout, assignment: dict[str, Exact]) -> tuple[int, ...]:
     """Selected vertices from an assignment's indicator variables.
 
     Each indicator must be integral within TOLERANCE; vertices with value at
@@ -213,7 +222,7 @@ def extract_vertex_set(layout, assignment: dict[str, Fraction]) -> tuple[int, ..
             raise BackendValidationError(
                 f"indicator {name} is fractional: {float(value):.6f}"
             )
-        if value >= Fraction(1, 2):
+        if 2 * value >= 1:
             chosen.append(vertex)
     return tuple(chosen)
 

@@ -105,7 +105,7 @@ def _solve_through_model(
         if limits.time_seconds is not None and limits.time_seconds < cfg.time_limit:
             cfg = replace(cfg, time_limit=limits.time_seconds)
         result = solve_external(model, cfg)
-        status, vertices, nodes = result.status, (), 0
+        status, vertices, nodes = result.status, (), result.nodes
         if result.assignment is not None:
             vertices = extract_vertex_set(layout, result.assignment)
     elapsed = time.monotonic() - start

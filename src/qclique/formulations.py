@@ -61,12 +61,11 @@ class FormulationError(ValueError):
 
 
 def _rational_param(value, what: str) -> Fraction:
-    if isinstance(value, bool):
-        raise FormulationError(f"{what} must be a Fraction or int, got {value!r}")
     try:
-        return _rational(value, what)
+        value = _rational(value, what)
     except ModelError as exc:
         raise FormulationError(str(exc)) from None
+    return Fraction(value) if type(value) is int else value
 
 
 class Problem(str, Enum):
@@ -201,15 +200,15 @@ class Certificate:
 
     mode: Connectivity
     source: int
-    assignment: Mapping[str, Fraction]
+    assignment: Mapping[str, int]
 
 
 DISCONNECTED = "disconnected"
 
 
-def _edge_upper_bound(count: int) -> Fraction:
+def _edge_upper_bound(count: int) -> int:
     """Number of vertex pairs among `count` vertices."""
-    return Fraction(count * (count - 1), 2)
+    return count * (count - 1) // 2
 
 
 def _base(
@@ -306,13 +305,13 @@ def build_f3(
         z[t] = name
         model.add_variable(name, CONTINUOUS, 0, 1)
     model.set_objective({name: 1 for name in x})
-    density_terms: dict[str, Fraction] = {name: Fraction(1) for name in y.values()}
+    density_terms: dict[str, int | Fraction] = {name: 1 for name in y.values()}
     for t, name in z.items():
         density_terms[name] = -gamma * _edge_upper_bound(t)
     model.add_constraint(density_terms, ">=", 0, "Eq2a")
-    size_terms: dict[str, Fraction] = {name: Fraction(1) for name in x}
+    size_terms = {name: 1 for name in x}
     for t, name in z.items():
-        size_terms[name] = Fraction(-t)
+        size_terms[name] = -t
     model.add_constraint(size_terms, "=", 0, "Eq2b")
     model.add_constraint({name: 1 for name in z.values()}, "=", 1, "Eq2c")
     _cap_rows(model, g, x, y, "Eq2d", "Eq2e")
@@ -400,21 +399,20 @@ def add_mpr(
         name = f"fe_{i}_{j}"
         edge_flow[(i, j)] = name
         model.add_variable(name, CONTINUOUS, None, None)
-    uq = Fraction(u)
-    minus_x = {name: Fraction(-1) for name in x}
+    minus_x = {name: -1 for name in x}
     for i in range(g.n):
-        net: dict[str, Fraction] = {}
+        net: dict[str, int] = {}
         for j in g.neighbors[i]:
             if i < j:
-                net[edge_flow[(i, j)]] = Fraction(1)
+                net[edge_flow[(i, j)]] = 1
             else:
-                net[edge_flow[(j, i)]] = Fraction(-1)
+                net[edge_flow[(j, i)]] = -1
         c = source[i]
-        model.add_constraint({**net, **minus_x, c: -uq}, ">=", -1 - uq, f"Eq3c:i={i}")
-        model.add_constraint({**net, **minus_x, c: uq}, "<=", uq - 1, f"Eq3d:i={i}")
-        model.add_constraint({**net, c: uq, x[i]: -uq}, ">=", -1 - uq, f"Eq3e:i={i}")
-        model.add_constraint({**net, c: -uq, x[i]: uq}, "<=", uq - 1, f"Eq3f:i={i}")
-    cap = uq - 1
+        model.add_constraint({**net, **minus_x, c: -u}, ">=", -1 - u, f"Eq3c:i={i}")
+        model.add_constraint({**net, **minus_x, c: u}, "<=", u - 1, f"Eq3d:i={i}")
+        model.add_constraint({**net, c: u, x[i]: -u}, ">=", -1 - u, f"Eq3e:i={i}")
+        model.add_constraint({**net, c: -u, x[i]: u}, "<=", u - 1, f"Eq3f:i={i}")
+    cap = u - 1
     for i, j in g.edges:
         flow, y = edge_flow[(i, j)], layout.y[(i, j)]
         model.add_constraint({flow: 1, y: cap}, ">=", 0, f"Eq3g:e={i}_{j}")
@@ -474,7 +472,6 @@ def add_cstree(
         name = _arc_name("fa", arc, root)
         arc_flow[arc] = name
         model.add_variable(name, CONTINUOUS, 0, None)
-    uq = Fraction(u)
     for j in range(g.n):
         in_arcs = [(i, j) for i in g.neighbors[j]] + [(root, j)]
         model.add_constraint(
@@ -487,13 +484,13 @@ def add_cstree(
         {arc_use[(root, j)]: 1 for j in range(g.n)}, "=", 1, "Eq5b"
     )
     for j in range(g.n):
-        balance: dict[str, Fraction] = {}
+        balance: dict[str, int] = {}
         for i in g.neighbors[j]:
-            balance[arc_flow[(i, j)]] = Fraction(1)
-        balance[arc_flow[(root, j)]] = Fraction(1)
+            balance[arc_flow[(i, j)]] = 1
+        balance[arc_flow[(root, j)]] = 1
         for i in g.neighbors[j]:
-            balance[arc_flow[(j, i)]] = Fraction(-1)
-        balance[x[j]] = Fraction(-1)
+            balance[arc_flow[(j, i)]] = -1
+        balance[x[j]] = -1
         model.add_constraint(balance, "=", 0, f"Eq5c:j={j}")
     for arc in rooted.arcs:
         tag = _arc_tag(arc, root)
@@ -505,7 +502,7 @@ def add_cstree(
             continue
         tag = _arc_tag(arc, root)
         model.add_constraint(
-            {arc_flow[arc]: 1, arc_use[arc]: -(uq - 1)},
+            {arc_flow[arc]: 1, arc_use[arc]: -(u - 1)},
             "<=",
             0,
             f"Eq5e:a={tag}",
@@ -513,13 +510,11 @@ def add_cstree(
     for j in range(g.n):
         arc = (root, j)
         model.add_constraint(
-            {arc_flow[arc]: 1, arc_use[arc]: -uq}, "<=", 0, f"Eq5f:j={j}"
+            {arc_flow[arc]: 1, arc_use[arc]: -u}, "<=", 0, f"Eq5f:j={j}"
         )
-    root_terms: dict[str, Fraction] = {
-        arc_flow[(root, j)]: Fraction(1) for j in range(g.n)
-    }
+    root_terms = {arc_flow[(root, j)]: 1 for j in range(g.n)}
     for name in x:
-        root_terms[name] = Fraction(-1)
+        root_terms[name] = -1
     model.add_constraint(root_terms, "=", 0, "Eq5g")
     for i, j in g.edges:
         model.add_constraint(
@@ -565,18 +560,17 @@ def add_cflow(
         name = _arc_name("fd", arc, None)
         arc_flow[arc] = name
         model.add_variable(name, CONTINUOUS, 0, None)
-    kq = Fraction(k)
     for i, j in g.edges:
         y = layout.y[(i, j)]
-        model.add_constraint({arc_flow[(i, j)]: 1, y: -kq}, "<=", 0, f"Eq6c:e={i}_{j}")
-        model.add_constraint({arc_flow[(j, i)]: 1, y: -kq}, "<=", 0, f"Eq6d:e={i}_{j}")
+        model.add_constraint({arc_flow[(i, j)]: 1, y: -k}, "<=", 0, f"Eq6c:e={i}_{j}")
+        model.add_constraint({arc_flow[(j, i)]: 1, y: -k}, "<=", 0, f"Eq6d:e={i}_{j}")
     for i in range(g.n):
-        balance: dict[str, Fraction] = {}
+        balance: dict[str, int] = {}
         for j in g.neighbors[i]:
-            balance[arc_flow[(j, i)]] = Fraction(1)
-            balance[arc_flow[(i, j)]] = Fraction(-1)
-        balance[layout.x[i]] = Fraction(-1)
-        balance[source[i]] = kq
+            balance[arc_flow[(j, i)]] = 1
+            balance[arc_flow[(i, j)]] = -1
+        balance[layout.x[i]] = -1
+        balance[source[i]] = k
         model.add_constraint(balance, "=", 0, f"Eq6e:i={i}")
     new_layout = replace(
         layout,
@@ -610,14 +604,12 @@ def lazy_cuts(g: Graph, s: Iterable[int], k: int) -> list[LinearConstraint]:
         if len(part) >= k:
             continue
         outside = boundary_neighbors(g, part)
-        lhs = {f"x_{i}": Fraction(1) for i in outside}
+        lhs = {f"x_{i}": 1 for i in outside}
         label = ".".join(str(v) for v in part)
         for j in part:
             terms = dict(lhs)
-            terms[f"x_{j}"] = terms.get(f"x_{j}", Fraction(0)) - 1
-            cuts.append(
-                LinearConstraint(terms, ">=", Fraction(0), f"Eq4a:C={label}:j={j}")
-            )
+            terms[f"x_{j}"] = terms.get(f"x_{j}", 0) - 1
+            cuts.append(LinearConstraint(terms, ">=", 0, f"Eq4a:C={label}:j={j}"))
     return cuts
 
 
@@ -689,36 +681,34 @@ def build_certificate(
         return DISCONNECTED
     source, parent = _bfs_tree(g, members)
     sizes = _subtree_sizes(parent, source)
-    assignment: dict[str, Fraction] = {}
+    assignment: dict[str, int] = {}
     if mode is Connectivity.CSTREE:
         rooted = oriented_arcs(g, rooted=True)
         root = rooted.root
         for arc in rooted.arcs:
-            assignment[_arc_name("v", arc, root)] = Fraction(0)
-            assignment[_arc_name("fa", arc, root)] = Fraction(0)
-        assignment[_arc_name("v", (root, source), root)] = Fraction(1)
-        assignment[_arc_name("fa", (root, source), root)] = Fraction(len(members))
+            assignment[_arc_name("v", arc, root)] = 0
+            assignment[_arc_name("fa", arc, root)] = 0
+        assignment[_arc_name("v", (root, source), root)] = 1
+        assignment[_arc_name("fa", (root, source), root)] = len(members)
         for child, par in parent.items():
             if child == source:
                 continue
-            assignment[_arc_name("v", (par, child), root)] = Fraction(1)
-            assignment[_arc_name("fa", (par, child), root)] = Fraction(sizes[child])
+            assignment[_arc_name("v", (par, child), root)] = 1
+            assignment[_arc_name("fa", (par, child), root)] = sizes[child]
     else:
         arcs = oriented_arcs(g, rooted=False)
         for i in range(g.n):
-            assignment[f"s_{i}"] = Fraction(1 if i == source else 0)
+            assignment[f"s_{i}"] = int(i == source)
         for arc in arcs.arcs:
-            assignment[_arc_name("fd", arc, None)] = Fraction(0)
+            assignment[_arc_name("fd", arc, None)] = 0
         for child, par in parent.items():
             if child == source:
                 continue
-            assignment[_arc_name("fd", (par, child), None)] = Fraction(sizes[child])
+            assignment[_arc_name("fd", (par, child), None)] = sizes[child]
     return Certificate(mode=mode, source=source, assignment=assignment)
 
 
-def indicator_assignment(
-    layout: VariableLayout, s: Iterable[int]
-) -> dict[str, Fraction]:
+def indicator_assignment(layout: VariableLayout, s: Iterable[int]) -> dict[str, int]:
     """Base-model assignment induced by a vertex set: x, y, and z if present.
 
     x is the 0/1 indicator, each y_ij is the product of its endpoints, and
@@ -726,11 +716,11 @@ def indicator_assignment(
     must then lie within the layout's bounds).
     """
     chosen = set(s)
-    values: dict[str, Fraction] = {}
+    values: dict[str, int] = {}
     for i, name in enumerate(layout.x):
-        values[name] = Fraction(1 if i in chosen else 0)
+        values[name] = int(i in chosen)
     for (i, j), name in layout.y.items():
-        values[name] = Fraction(1 if i in chosen and j in chosen else 0)
+        values[name] = int(i in chosen and j in chosen)
     if layout.z is not None:
         size = len(chosen)
         if size not in layout.z and size != 0:
@@ -739,5 +729,5 @@ def indicator_assignment(
                 f"{layout.bounds}"
             )
         for t, name in layout.z.items():
-            values[name] = Fraction(1 if t == size else 0)
+            values[name] = int(t == size)
     return values

@@ -140,9 +140,9 @@ class GridRow:
     runtime_sd: float
 
 
-def read_cells(path: Path) -> list[GridCell]:
+def read_cells(path: str | Path) -> list[GridCell]:
     """Load previously computed cells; an absent file is an empty grid."""
-    return _read(path)[0]
+    return _read(Path(path))[0]
 
 
 def _read(path: Path) -> tuple[list[GridCell], int, str | None]:

@@ -4,16 +4,17 @@ The bridge converts exact-rational rows to floating point by scaling each
 row to integers first (least common multiple of the denominators) whenever
 the scaled magnitudes stay inside the 2**53 window where float conversion
 is exact; rows that cannot be scaled safely fall back to plain conversion.
-Assignments come back as exact binary fractions of the reported floats and
-are validated by the caller, never trusted.
+Assignments come back exact: an int for each whole float HiGHS reports and
+the float's binary Fraction otherwise. The caller validates them; they are
+never trusted.
 
 The module doubles as a command-line solver so it can serve as an external
 backend process:
 
     python -m qclique.highs MODEL.lp OUT.sol [TIME_LIMIT_SECONDS]
 
-The output file holds one "name value" line per variable, or a single
-INFEASIBLE / TIMELIMIT marker.
+The output file holds a "# nodes N" line (HiGHS's node count) and then one
+"name value" line per variable, or a single INFEASIBLE / TIMELIMIT marker.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from scipy import optimize, sparse
 
 from .lpio import parse_lp, parse_mps
-from .milp import BINARY, LinearConstraint, LinearModel
+from .milp import BINARY, Exact, LinearConstraint, LinearModel
 from .solve import SolveStatus
 
 _EXACT_WINDOW = 2**53
@@ -54,14 +55,15 @@ def _row_floats(row: LinearConstraint) -> tuple[dict[str, float], float]:
 
 def solve_model(
     model: LinearModel, time_limit: float | None = None
-) -> tuple[SolveStatus, dict[str, Fraction] | None, int]:
+) -> tuple[SolveStatus, dict[str, Exact] | None, int]:
     """Run HiGHS on the model; return its status, raw assignment and nodes.
 
-    The assignment maps every model variable to the exact Fraction of the
-    float HiGHS reported (so validation downstream stays rational); it is
-    None when the engine produced no point, as with infeasibility or a
-    limit hit before the first incumbent. nodes is the engine's branch-and-
-    bound node count (0 when it reports none, as when presolve decides).
+    The assignment maps every model variable to the float HiGHS reported,
+    exactly: an int when it is whole, else its Fraction (so validation
+    downstream stays rational). It is None when the engine produced no
+    point, as with infeasibility or a limit hit before the first incumbent.
+    nodes is the engine's branch-and-bound node count (0 when it reports
+    none, as when presolve decides).
     """
     if not model.variables:
         raise HighsError("model has no variables")
@@ -121,8 +123,8 @@ def solve_model(
     if result.x is None:
         return status, None, nodes
     assignment = {
-        var.name: Fraction(float(value))
-        for var, value in zip(model.variables, result.x)
+        var.name: int(value) if value.is_integer() else Fraction(value)
+        for var, value in zip(model.variables, result.x.tolist())
     }
     return status, assignment, nodes
 
@@ -144,19 +146,16 @@ def main(argv: list[str] | None = None) -> int:
         model = parse_mps(text)
     else:
         model = parse_lp(text)
-    status, assignment, _ = solve_model(model, time_limit=args.timelimit)
+    status, assignment, nodes = solve_model(model, time_limit=args.timelimit)
 
     if status is SolveStatus.INFEASIBLE:
-        payload = "INFEASIBLE\n"
+        lines = ["INFEASIBLE"]
     elif status is SolveStatus.TIME_LIMIT:
-        payload = "TIMELIMIT\n"
+        lines = ["TIMELIMIT"]
     else:
-        lines = [
-            f"{name} {float(value)!r}"
-            for name, value in sorted(assignment.items())
-        ]
-        payload = "\n".join(lines) + "\n"
-    Path(args.solution).write_text(payload, encoding="utf-8")
+        lines = [f"# nodes {nodes}"]
+        lines += (f"{name} {float(v)!r}" for name, v in sorted(assignment.items()))
+    Path(args.solution).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

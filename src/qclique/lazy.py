@@ -124,6 +124,6 @@ def _solve_inner(
         cfg = replace(cfg, time_limit=remaining)
     result = solve_external(model, cfg)
     if result.assignment is None:
-        return result.status, (), 0
-    return result.status, extract_vertex_set(layout, result.assignment), 0
+        return result.status, (), result.nodes
+    return result.status, extract_vertex_set(layout, result.assignment), result.nodes
 

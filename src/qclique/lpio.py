@@ -21,7 +21,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping
 
-from .milp import BINARY, CONTINUOUS, LinearModel, ModelError
+from .milp import BINARY, CONTINUOUS, Exact, LinearModel, ModelError, _rational
 
 logger = logging.getLogger(__name__)
 
@@ -30,8 +30,8 @@ class FormatError(ValueError):
     """Raised for unparsable or unrepresentable model text."""
 
 
-def format_rational(q: Fraction) -> tuple[str, bool]:
-    """Render a Fraction as decimal text: (text, exactly_representable)."""
+def format_rational(q: Exact) -> tuple[str, bool]:
+    """Render an int or Fraction as decimal text: (text, exactly_representable)."""
     num, den = q.numerator, q.denominator
     if den == 1:
         return str(num), True
@@ -104,7 +104,7 @@ class _Renderer:
     def __init__(self) -> None:
         self.warnings: list[str] = []
 
-    def number(self, q: Fraction, where: str) -> str:
+    def number(self, q: Exact, where: str) -> str:
         text, exact = format_rational(q)
         if not exact:
             self.warnings.append(
@@ -113,7 +113,7 @@ class _Renderer:
         return text
 
     def terms(
-        self, terms: Mapping[str, Fraction], names: dict[str, str], where: str
+        self, terms: Mapping[str, Exact], names: dict[str, str], where: str
     ) -> str:
         if not terms:
             return f"+ 0 {next(iter(names.values()))}"
@@ -259,21 +259,22 @@ def export_mps(model: LinearModel) -> str:
 
 
 class _Numbers(dict):
-    """Token -> Fraction, or None for a token that is no number.
+    """Token -> int or Fraction (as the model stores it), or None for a token
+    that is no number.
 
     Each distinct token is converted once; readers keep one per call, since
     model text repeats a handful of coefficients and every variable name.
     """
 
-    def __missing__(self, token: str) -> Fraction | None:
+    def __missing__(self, token: str) -> Exact | None:
         try:
-            value = Fraction(token)
+            value = _rational(Fraction(token), token)
         except (ValueError, ZeroDivisionError):
             value = None
         self[token] = value
         return value
 
-    def parse(self, token: str, where: str) -> Fraction:
+    def parse(self, token: str, where: str) -> Exact:
         value = self[token]
         if value is None:
             raise FormatError(f"{where}: cannot parse number {token!r}")
@@ -288,8 +289,8 @@ class _VarSpec:
     __slots__ = ("lower", "upper", "binary", "integer", "bounded")
 
     def __init__(self) -> None:
-        self.lower: Fraction | None = Fraction(0)
-        self.upper: Fraction | None = None
+        self.lower: Exact | None = 0
+        self.upper: Exact | None = None
         self.binary = False
         self.integer = False
         self.bounded = False
@@ -297,16 +298,16 @@ class _VarSpec:
 
 def _parse_expression(
     tokens: list[str], where: str, numbers: _Numbers
-) -> dict[str, Fraction]:
+) -> dict[str, Exact]:
     """Parse "[sign] [coef] name" sequences into a term map.
 
     Every term after the first must follow a + or - sign, and a name may not
     start with a digit or a period, so malformed numbers such as 1/0 are
     rejected rather than read as variable names.
     """
-    terms: dict[str, Fraction] = {}
+    terms: dict[str, Exact] = {}
     sign = 1
-    coef: Fraction | None = None
+    coef: Exact | None = None
     signed = True
     for token in tokens:
         if token == "+":
@@ -401,7 +402,7 @@ def parse_lp(text: str) -> LinearModel:
         obj_tokens = obj_tokens[cut + 1 :]
     objective = _parse_expression(obj_tokens, "objective", numbers)
 
-    rows: list[tuple[str, dict[str, Fraction], str, Fraction]] = []
+    rows: list[tuple[str, dict[str, Exact], str, Exact]] = []
     row_tokens = " ".join(section_lines["rows"]).replace(":", " : ").split()
     i = 0
     row_count = 0
@@ -484,8 +485,8 @@ def parse_lp(text: str) -> LinearModel:
     model = LinearModel(metadata)
     for name, spec in specs.items():
         if spec.binary:
-            lower = Fraction(0) if spec.lower is None or not spec.bounded else spec.lower
-            upper = Fraction(1) if spec.upper is None or not spec.bounded else spec.upper
+            lower = 0 if spec.lower is None or not spec.bounded else spec.lower
+            upper = 1 if spec.upper is None or not spec.bounded else spec.upper
             model.add_variable(name, BINARY, lower, upper)
         else:
             model.add_variable(name, CONTINUOUS, spec.lower, spec.upper)
@@ -503,11 +504,11 @@ def parse_mps(text: str) -> LinearModel:
     obj_row: str | None = None
     row_order: list[tuple[str, str]] = []
     row_senses: dict[str, str] = {}
-    row_terms: dict[str, dict[str, Fraction]] = {}
-    objective: dict[str, Fraction] = {}
+    row_terms: dict[str, dict[str, Exact]] = {}
+    objective: dict[str, Exact] = {}
     var_order: list[str] = []
     specs: dict[str, _VarSpec] = {}
-    rhs_values: dict[str, Fraction] = {}
+    rhs_values: dict[str, Exact] = {}
     integer_mode = False
     objsense: str | None = None
     sense_code = {"L": "<=", "G": ">=", "E": "="}
@@ -582,12 +583,10 @@ def parse_mps(text: str) -> LinearModel:
                 )
                 if row == obj_row:
                     if value != 0:
-                        objective[var] = objective.get(var, Fraction(0)) + value
+                        objective[var] = objective.get(var, 0) + value
                 elif row in row_terms:
                     if value != 0:
-                        row_terms[row][var] = (
-                            row_terms[row].get(var, Fraction(0)) + value
-                        )
+                        row_terms[row][var] = row_terms[row].get(var, 0) + value
                 else:
                     raise FormatError(f"line {lineno}: unknown row {row!r}")
         elif section == "rhs":
@@ -627,7 +626,7 @@ def parse_mps(text: str) -> LinearModel:
             elif code == "BV":
                 spec.binary = True
                 spec.integer = True
-                spec.lower, spec.upper = Fraction(0), Fraction(1)
+                spec.lower, spec.upper = 0, 1
             elif code in ("UI", "LI"):
                 spec.integer = True
                 if code == "UI":
@@ -649,8 +648,8 @@ def parse_mps(text: str) -> LinearModel:
     for name in var_order:
         spec = specs[name]
         if spec.integer:
-            lower = spec.lower if spec.bounded else Fraction(0)
-            upper = spec.upper if spec.bounded else Fraction(1)
+            lower = spec.lower if spec.bounded else 0
+            upper = spec.upper if spec.bounded else 1
             if (
                 lower is None
                 or upper is None
@@ -665,23 +664,22 @@ def parse_mps(text: str) -> LinearModel:
             model.add_variable(name, CONTINUOUS, spec.lower, spec.upper)
     model.set_objective(objective)
     for name, sense in row_order:
-        model.add_constraint(
-            row_terms[name], sense, rhs_values.get(name, Fraction(0)), name
-        )
+        model.add_constraint(row_terms[name], sense, rhs_values.get(name, 0), name)
     return model.freeze()
 
 
-def parse_solution_file(model: LinearModel, text: str) -> dict[str, Fraction]:
+def parse_solution_file(model: LinearModel, text: str) -> dict[str, Exact]:
     """Parse "name value" lines into a full assignment over the model.
 
-    Comment lines start with '#'. Unlisted variables default to 0. Names may
-    be the model's own or their sanitized export forms.
+    Comment lines start with '#' (so the optional "# nodes N" line is one).
+    Unlisted variables default to 0. Names may be the model's own or their
+    sanitized export forms.
     """
     accepted: dict[str, str] = {}
     for var in model.variables:
         accepted[var.name] = var.name
         accepted.setdefault(sanitize_name(var.name, "v_"), var.name)
-    values: dict[str, Fraction] = {v.name: Fraction(0) for v in model.variables}
+    values: dict[str, Exact] = {v.name: 0 for v in model.variables}
     numbers = _Numbers()
     listed: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -1,13 +1,16 @@
 """Solver-agnostic MILP container with exact rational arithmetic.
 
 Models hold variables (binary or bounded continuous), sparse linear rows, and
-a maximization objective. All numbers are Fractions; evaluate() is the
+a maximization objective. Numbers are ints for whole values and Fractions
+otherwise (denominator above 1); nearly all are whole, and an int is far
+cheaper than a Fraction to build, compare and multiply. evaluate() is the
 ground-truth feasibility check used throughout the test suite, so it applies
 zero tolerance unless the caller passes one explicitly (only done when judging
 float assignments returned by external solvers).
 
-Floats are rejected at the model boundary: a coefficient like 0.29 is not the
-rational 29/100, and silently converting would move binding thresholds.
+Floats and bools are rejected at the model boundary: a coefficient like 0.29
+is not the rational 29/100, and silently converting would move binding
+thresholds.
 """
 
 from __future__ import annotations
@@ -22,19 +25,25 @@ class ModelError(ValueError):
     """Raised for invalid model construction or evaluation inputs."""
 
 
-Number = Rational  # ints and Fractions; floats are refused
+Number = Rational  # ints and Fractions; floats and bools are refused
+Exact = int | Fraction  # what the model stores: an int when whole
 
 
-def _rational(value, what: str) -> Fraction:
-    if type(value) is Fraction:
+def _rational(value, what: str) -> Exact:
+    """value as the model stores it: an int when whole, else a Fraction."""
+    if type(value) is int:
         return value
-    if isinstance(value, float):
-        raise ModelError(
-            f"{what} is a float ({value!r}); pass a Fraction or int for exactness"
-        )
-    if not isinstance(value, Rational):
-        raise ModelError(f"{what} must be rational, got {type(value).__name__}")
-    return Fraction(value)
+    if type(value) is not Fraction:
+        if isinstance(value, bool):
+            raise ModelError(f"{what} must be a Fraction or int, got {value!r}")
+        if isinstance(value, float):
+            raise ModelError(
+                f"{what} is a float ({value!r}); pass a Fraction or int for exactness"
+            )
+        if not isinstance(value, Rational):
+            raise ModelError(f"{what} must be rational, got {type(value).__name__}")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 BINARY = "binary"
@@ -47,8 +56,8 @@ class Variable:
 
     name: str
     kind: str
-    lower: Fraction | None
-    upper: Fraction | None
+    lower: Exact | None  # an int when whole, else a Fraction
+    upper: Exact | None
 
 
 @dataclass(frozen=True)
@@ -59,18 +68,18 @@ class LinearConstraint:
     entity) and doubles as the exported row name.
     """
 
-    terms: Mapping[str, Fraction]
+    terms: Mapping[str, Exact]  # each an int when whole, else a Fraction
     sense: str
-    rhs: Fraction
+    rhs: Exact
     tag: str
 
 
 @dataclass(frozen=True)
 class Evaluation:
-    objective: Fraction
+    objective: Exact  # an int when whole, else a Fraction
     feasible: bool
     integral: bool
-    violations: tuple[tuple[str, Fraction], ...]
+    violations: tuple[tuple[str, Exact], ...]
 
 
 SENSES = ("<=", ">=", "=")
@@ -82,7 +91,7 @@ class LinearModel:
     def __init__(self, metadata: Mapping[str, str] | None = None) -> None:
         self.variables: list[Variable] = []
         self.constraints: list[LinearConstraint] = []
-        self.objective: dict[str, Fraction] = {}
+        self.objective: dict[str, Exact] = {}
         self.metadata: dict[str, str] = dict(metadata or {})
         self._index: dict[str, int] = {}
         self._tags: set[str] = set()
@@ -122,8 +131,8 @@ class LinearModel:
         lo = None if lower is None else _rational(lower, f"lower bound of {name}")
         up = None if upper is None else _rational(upper, f"upper bound of {name}")
         if kind == BINARY:
-            lo = Fraction(0) if lo is None else lo
-            up = Fraction(1) if up is None else up
+            lo = 0 if lo is None else lo
+            up = 1 if up is None else up
             if not (0 <= lo <= up <= 1):
                 raise ModelError(f"binary {name} bounds [{lo}, {up}] outside [0, 1]")
         elif lo is not None and up is not None and lo > up:
@@ -144,8 +153,8 @@ class LinearModel:
             raise ModelError(f"unknown variable {name!r}")
         return self._index[name]
 
-    def _check_terms(self, terms: Mapping[str, Number]) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
+    def _check_terms(self, terms: Mapping[str, Number]) -> dict[str, Exact]:
+        out: dict[str, Exact] = {}
         for name, coef in terms.items():
             if name not in self._index:
                 raise ModelError(f"unknown variable {name!r} in terms")
@@ -195,7 +204,7 @@ class LinearModel:
         tol_q = _rational(tol, "tolerance")
         if tol_q < 0:
             raise ModelError(f"negative tolerance {tol_q}")
-        values: dict[str, Fraction] = {}
+        values: dict[str, Exact] = {}
         missing = []
         for var in self.variables:
             if var.name not in assignment:
@@ -207,24 +216,21 @@ class LinearModel:
         if missing:
             shown = ", ".join(missing[:5])
             raise ModelError(f"assignment missing {len(missing)} variables: {shown}")
-        violations: list[tuple[str, Fraction]] = []
+        violations: list[tuple[str, Exact]] = []
         for var in self.variables:
             v = values[var.name]
-            if var.lower is not None and v < var.lower - tol_q:
+            if var.lower is not None and var.lower - v > tol_q:
                 violations.append((f"bound:{var.name}", var.lower - v))
-            if var.upper is not None and v > var.upper + tol_q:
+            if var.upper is not None and v - var.upper > tol_q:
                 violations.append((f"bound:{var.name}", v - var.upper))
         # Zero-valued terms add nothing to a row sum, and in a solver's
         # answer most variables are zero.
         nonzero = {name: v for name, v in values.items() if v}
         for row in self.constraints:
             lhs = sum(
-                (
-                    coef * nonzero[name]
-                    for name, coef in row.terms.items()
-                    if name in nonzero
-                ),
-                Fraction(0),
+                coef * nonzero[name]
+                for name, coef in row.terms.items()
+                if name in nonzero
             )
             if row.sense == "<=":
                 excess = lhs - row.rhs
@@ -239,12 +245,9 @@ class LinearModel:
             for var in self.variables
             if var.kind == BINARY
         )
-        objective = sum(
-            (coef * values[name] for name, coef in self.objective.items()),
-            Fraction(0),
-        )
+        objective = sum(coef * values[name] for name, coef in self.objective.items())
         return Evaluation(
-            objective=objective,
+            objective=_rational(objective, "objective"),
             feasible=not violations,
             integral=integral,
             violations=tuple(violations),

@@ -129,6 +129,23 @@ class TestSolveExternal:
         assert result.status is SolveStatus.TIME_LIMIT
         assert result.assignment is None
 
+    @pytest.mark.parametrize("head, nodes", [("# nodes 7\n", 7), ("", 0)])
+    def test_node_count_line(self, tmp_path, triangle, head, nodes):
+        model, layout = build_m1(triangle, 3)
+        command = scripted(
+            tmp_path,
+            f"""\
+            import sys
+            names = ["x_0", "x_1", "x_2", "y_0_1", "y_0_2", "y_1_2"]
+            text = {head!r} + "".join(name + " 1\\n" for name in names)
+            open(sys.argv[2], "w").write(text)
+            """,
+        )
+        result = solve_external(model, BackendConfig(command=command))
+        assert result.status is SolveStatus.OPTIMAL
+        assert extract_vertex_set(layout, result.assignment) == (0, 1, 2)
+        assert result.nodes == nodes
+
     def test_overrunning_process_is_killed(self, tmp_path, triangle):
         model, _ = build_m1(triangle, 3)
         command = scripted(

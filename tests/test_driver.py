@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclique.backend import TOLERANCE, BackendConfig, BackendValidationError
+from qclique.backend import (
+    TOLERANCE,
+    BackendConfig,
+    BackendValidationError,
+    ModelFormat,
+)
 from qclique.driver import build_problem_model, solve_problem
 from qclique.formulations import Connectivity, ProblemSpec
 from qclique.graphs import Graph, induced_edge_count, is_connected
@@ -98,6 +103,17 @@ class TestSolveProblem:
         solution = solve_problem(two_k4s, spec, engine=cfg)
         assert solution.status is SolveStatus.OPTIMAL
         assert solution.objective == 10
+
+    # MPS keeps the built column order, so the child solves the very
+    # matrix the in-process engine does.
+    @pytest.mark.parametrize("mode", [Connectivity.CFLOW, Connectivity.LAZY])
+    def test_external_backend_reports_the_solver_nodes(self, two_k4s, mode):
+        spec = ProblemSpec.dks(8, mode=mode)
+        cfg = BackendConfig(HIGHS_BACKEND, model_format=ModelFormat.MPS)
+        external = solve_problem(two_k4s, spec, engine=cfg)
+        in_process = solve_problem(two_k4s, spec, engine="milp")
+        assert external.vertices == in_process.vertices
+        assert external.nodes_explored == in_process.nodes_explored >= 1
 
     def test_model_route_reports_infeasibility(self):
         g = Graph.build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])

@@ -155,6 +155,13 @@ class TestRunGrid:
         assert row.cells == 1
         assert row.pct_disc == 0.0
 
+    def test_read_cells_takes_a_str_path(self, tmp_path, two_k4s):
+        target = tmp_path / "grid.csv"
+        spec = GridSpec(name="blocks", family=Problem.DKS)
+        run_grid(two_k4s, spec, str(target), clock=FakeClock())
+        assert read_cells(str(target)) == read_cells(target) != []
+        assert read_cells(str(tmp_path / "absent.csv")) == []
+
     def test_reaggregation_reproduces_summary(self, tmp_path, two_k4s):
         target = tmp_path / "grid.csv"
         spec = GridSpec(name="blocks", family=Problem.DKS)

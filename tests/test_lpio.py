@@ -631,6 +631,7 @@ class TestParseSolutionFile:
     def test_values_comments_and_defaults(self):
         model = pair_selection_model()
         text = (
+            "# nodes 7\n"
             "# solver log line\n"
             "x_0 1\n"
             "x_1 0.5\n"

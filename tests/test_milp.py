@@ -104,6 +104,33 @@ class TestConstraints:
         with pytest.raises(ModelError, match="float"):
             m.add_constraint({"x": 1}, "<=", 0.5, "row")
 
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_bool_numbers_rejected(self, bad):
+        m = LinearModel()
+        m.add_variable("x", BINARY)
+        with pytest.raises(ModelError, match=f"coefficient of x .* got {bad}"):
+            m.add_constraint({"x": bad}, "<=", 1, "row")
+        with pytest.raises(ModelError, match=f"rhs of row .* got {bad}"):
+            m.add_constraint({"x": 1}, "<=", bad, "row")
+        with pytest.raises(ModelError, match=f"bound of y .* got {bad}"):
+            m.add_variable("y", CONTINUOUS, 0, bad)
+        with pytest.raises(ModelError, match=f"value of x .* got {bad}"):
+            m.evaluate({"x": bad})
+
+    def test_whole_numbers_are_stored_as_ints(self):
+        m = LinearModel()
+        m.add_variable("x", BINARY)
+        m.add_variable("y", CONTINUOUS, Fraction(-4, 2), Fraction(7, 2))
+        terms = {"x": Fraction(6, 3), "y": Fraction(1, 3)}
+        m.add_constraint(terms, "<=", Fraction(5), "row")
+        row = m.constraints[0]
+        assert [type(v) for v in row.terms.values()] == [int, Fraction]
+        assert type(row.rhs) is int and row.rhs == 5
+        assert type(m.variable("y").lower) is int and m.variable("y").lower == -2
+        x = m.variable("x")
+        assert [type(x.lower), type(x.upper)] == [int, int]
+        assert type(m.evaluate({"x": 1, "y": Fraction(3)}).objective) is int
+
     def test_bad_sense_rejected(self):
         m = simple_model()
         with pytest.raises(ModelError, match="sense"):
