@@ -10,6 +10,10 @@ log at WARNING.
 The LP dialect is the CPLEX-style section format (Maximize / Subject To /
 Bounds / Binaries / End); MPS output is free-format with OBJSENSE MAX and
 INTORG/INTEND markers. Only maximization models are supported on both sides.
+
+parse_lp and parse_mps tokenize their format into one kind of column record
+(_Column states the binary and integer rules) and end in one assembly, so
+both raise FormatError, never ModelError, for text that is no valid model.
 """
 
 from __future__ import annotations
@@ -281,19 +285,81 @@ class _Numbers(dict):
         return value
 
 
-def _is_infinite(token: str) -> bool:
-    return token.lower().lstrip("+-") in ("inf", "infinity")
+_INTORG = "intorg"
 
 
-class _VarSpec:
-    __slots__ = ("lower", "upper", "binary", "integer", "bounded")
+class _Column:
+    """A column as a reader collects it: its bounds as the text sets them
+    (None for infinite) and its kind.
+
+    CONTINUOUS takes its bounds as they are. BINARY, an LP Binaries entry,
+    reads an infinite side as 0 or 1. _INTORG, an MPS column inside an
+    INTORG block or with a BV, UI or LI bound, is [0, 1] while no bound line
+    names it; otherwise both its sides must be finite and inside [0, 1], as
+    general integers are not supported.
+    """
+
+    __slots__ = ("lower", "upper", "kind", "bounded")
 
     def __init__(self) -> None:
         self.lower: Exact | None = 0
         self.upper: Exact | None = None
-        self.binary = False
-        self.integer = False
-        self.bounded = False
+        self.kind = CONTINUOUS
+        self.bounded = False  # set by every MPS bound line; read for _INTORG
+
+
+class _Columns(dict):
+    """Column name -> _Column, made at its first mention: reading order."""
+
+    def __missing__(self, name: str) -> _Column:
+        column = self[name] = _Column()
+        return column
+
+
+def _read_meta(line: str, mark: str, metadata: dict[str, str]) -> None:
+    """Record a "<mark> meta key=value" comment line, as _meta_lines writes
+    it, in metadata; any other comment line is skipped."""
+    body = line.lstrip(mark).strip()
+    if body.startswith("meta ") and "=" in body:
+        key, _, value = body[5:].partition("=")
+        metadata[key.strip()] = value
+
+
+def _assemble(
+    metadata: dict[str, str],
+    columns: dict[str, _Column],
+    objective: dict[str, Exact],
+    rows: dict[str, list],
+) -> LinearModel:
+    """The frozen model of what a reader collected: the columns in reading
+    order, the objective, then the rows (name -> [terms, sense, rhs]).
+
+    Text that is no valid model, such as crossing bounds or a binary outside
+    [0, 1], raises FormatError, never ModelError.
+    """
+    model = LinearModel(metadata)
+    try:
+        for name, column in columns.items():
+            lower, upper = column.lower, column.upper
+            if column.kind == BINARY:
+                lower = 0 if lower is None else lower
+                upper = 1 if upper is None else upper
+            elif column.kind == _INTORG:
+                if not column.bounded:
+                    lower, upper = 0, 1
+                elif lower is None or upper is None or not 0 <= lower <= upper <= 1:
+                    raise FormatError(
+                        f"integer variable {name!r} with bounds outside [0, 1]: "
+                        "general integers not supported"
+                    )
+            kind = CONTINUOUS if column.kind == CONTINUOUS else BINARY
+            model.add_variable(name, kind, lower, upper)
+        model.set_objective(objective)
+        for name, (terms, sense, rhs) in rows.items():
+            model.add_constraint(terms, sense, rhs, name)
+    except ModelError as exc:
+        raise FormatError(str(exc)) from exc
+    return model.freeze()
 
 
 def _parse_expression(
@@ -359,7 +425,10 @@ _LP_SECTIONS = {
 
 
 def parse_lp(text: str) -> LinearModel:
-    """Parse LP text produced by export_lp (plus mild dialect slack)."""
+    """Parse LP text produced by export_lp (plus mild dialect slack).
+
+    LP text carries no column order: columns come in order of first use.
+    """
     numbers = _Numbers()
     metadata: dict[str, str] = {}
     section_lines: dict[str, list[str]] = {
@@ -373,11 +442,8 @@ def parse_lp(text: str) -> LinearModel:
         stripped = raw.strip()
         if not stripped:
             continue
-        if stripped.startswith("\\"):
-            body = stripped.lstrip("\\").strip()
-            if body.startswith("meta ") and "=" in body:
-                key, _, value = body[5:].partition("=")
-                metadata[key.strip()] = value
+        if stripped[0] == "\\":
+            _read_meta(stripped, "\\", metadata)
             continue
         keyword = _LP_SECTIONS.get(stripped.lower())
         if keyword == "minimize":
@@ -402,98 +468,73 @@ def parse_lp(text: str) -> LinearModel:
         obj_tokens = obj_tokens[cut + 1 :]
     objective = _parse_expression(obj_tokens, "objective", numbers)
 
-    rows: list[tuple[str, dict[str, Exact], str, Exact]] = []
+    rows: dict[str, list] = {}
     row_tokens = " ".join(section_lines["rows"]).replace(":", " : ").split()
     i = 0
-    row_count = 0
     while i < len(row_tokens):
         name = None
         if i + 1 < len(row_tokens) and row_tokens[i + 1] == ":":
             name = row_tokens[i]
             i += 2
+        where = f"row {name or len(rows)}"
         start = i
         while i < len(row_tokens) and row_tokens[i] not in ("<=", ">=", "=", "<", ">"):
             if row_tokens[i] == ":":
-                raise FormatError(f"row {name or row_count}: unexpected ':'")
+                raise FormatError(f"{where}: unexpected ':'")
             i += 1
         if i >= len(row_tokens) - 1:
             raise FormatError("rows: missing sense or right-hand side")
         sense = {"<": "<=", ">": ">="}.get(row_tokens[i], row_tokens[i])
-        rhs = numbers.parse(row_tokens[i + 1], f"row {name or row_count} rhs")
-        terms = _parse_expression(
-            row_tokens[start:i], f"row {name or row_count}", numbers
-        )
-        if name is None:
-            name = f"r{row_count}"
-        rows.append((name, terms, sense, rhs))
-        row_count += 1
+        rhs = numbers.parse(row_tokens[i + 1], f"{where} rhs")
+        terms = _parse_expression(row_tokens[start:i], where, numbers)
+        name = name or f"r{len(rows)}"
+        if name in rows:
+            raise FormatError(f"duplicate row {name!r}")
+        rows[name] = [terms, sense, rhs]
         i += 2
 
-    specs: dict[str, _VarSpec] = {}
+    columns = _Columns()
 
-    def seen(name: str) -> _VarSpec:
+    def column(name: str) -> _Column:
         if numbers[name] is not None or name in ("<=", ">=", "=", ":"):
             raise FormatError(f"invalid variable name {name!r}")
-        if name not in specs:
-            specs[name] = _VarSpec()
-        return specs[name]
+        return columns[name]
 
     for name in objective:
-        seen(name)
-    for _, terms, _, _ in rows:
+        column(name)
+    for terms, _, _ in rows.values():
         for name in terms:
-            seen(name)
+            column(name)
+
+    def bound(token: str) -> Exact | None:
+        if token.lower().lstrip("+-") in ("inf", "infinity"):
+            return None
+        return numbers.parse(token, "bounds")
 
     for line in section_lines["bounds"]:
         tokens = line.split()
-        lowered = [t.lower() for t in tokens]
-        if len(tokens) == 2 and lowered[1] == "free":
-            spec = seen(tokens[0])
-            spec.lower = None
-            spec.upper = None
-            spec.bounded = True
+        if len(tokens) == 2 and tokens[1].lower() == "free":
+            col = column(tokens[0])
+            col.lower = col.upper = None
         elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-            spec = seen(tokens[2])
-            spec.lower = None if _is_infinite(tokens[0]) else numbers.parse(
-                tokens[0], "bounds"
-            )
-            spec.upper = None if _is_infinite(tokens[4]) else numbers.parse(
-                tokens[4], "bounds"
-            )
-            spec.bounded = True
+            col = column(tokens[2])
+            col.lower, col.upper = bound(tokens[0]), bound(tokens[4])
         elif len(tokens) == 3 and tokens[1] in ("<=", ">=", "="):
-            spec = seen(tokens[0])
-            if _is_infinite(tokens[2]):
-                value = None
-            else:
-                value = numbers.parse(tokens[2], "bounds")
+            col, value = column(tokens[0]), bound(tokens[2])
             if tokens[1] == "<=":
-                spec.upper = value
+                col.upper = value
             elif tokens[1] == ">=":
-                spec.lower = value
+                col.lower = value
             else:
-                spec.lower = spec.upper = value
-            spec.bounded = True
+                col.lower = col.upper = value
         else:
             raise FormatError(f"bounds: cannot parse line {line!r}")
 
     for line in section_lines["binaries"]:
         for name in line.split():
-            spec = seen(name)
-            spec.binary = True
+            column(name).kind = BINARY
 
-    model = LinearModel(metadata)
-    for name, spec in specs.items():
-        if spec.binary:
-            lower = 0 if spec.lower is None or not spec.bounded else spec.lower
-            upper = 1 if spec.upper is None or not spec.bounded else spec.upper
-            model.add_variable(name, BINARY, lower, upper)
-        else:
-            model.add_variable(name, CONTINUOUS, spec.lower, spec.upper)
-    model.set_objective(objective)
-    for name, terms, sense, rhs in rows:
-        model.add_constraint(terms, sense, rhs, name)
-    return model.freeze()
+    return _assemble(metadata, columns, objective, rows)
 
 
 def parse_mps(text: str) -> LinearModel:
@@ -502,35 +543,22 @@ def parse_mps(text: str) -> LinearModel:
     metadata: dict[str, str] = {}
     section = None
     obj_row: str | None = None
-    row_order: list[tuple[str, str]] = []
-    row_senses: dict[str, str] = {}
-    row_terms: dict[str, dict[str, Exact]] = {}
     objective: dict[str, Exact] = {}
-    var_order: list[str] = []
-    specs: dict[str, _VarSpec] = {}
-    rhs_values: dict[str, Exact] = {}
+    rows: dict[str, list] = {}
+    columns = _Columns()
     integer_mode = False
     objsense: str | None = None
     sense_code = {"L": "<=", "G": ">=", "E": "="}
 
-    def spec_for(name: str) -> _VarSpec:
-        if name not in specs:
-            specs[name] = _VarSpec()
-            var_order.append(name)
-        return specs[name]
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
+        stripped = raw.strip()
+        if not stripped:
             continue
-        if raw.lstrip().startswith("*"):
-            body = raw.lstrip().lstrip("*").strip()
-            if body.startswith("meta ") and "=" in body:
-                key, _, value = body[5:].partition("=")
-                metadata[key.strip()] = value
+        if stripped[0] == "*":
+            _read_meta(stripped, "*", metadata)
             continue
-        is_header = not raw[0].isspace()
         tokens = raw.split()
-        if is_header:
+        if not raw[0].isspace():
             head = tokens[0].upper()
             if head == "NAME":
                 section = "name"
@@ -541,7 +569,6 @@ def parse_mps(text: str) -> LinearModel:
                 if head == "OBJSENSE" and len(tokens) > 1:
                     objsense = tokens[1].upper()
             elif head == "ENDATA":
-                section = "end"
                 break
             else:
                 raise FormatError(f"line {lineno}: unknown section {tokens[0]!r}")
@@ -556,39 +583,37 @@ def parse_mps(text: str) -> LinearModel:
                 if obj_row is not None:
                     raise FormatError(f"line {lineno}: second objective row")
                 obj_row = name
-            elif code in sense_code:
-                row_order.append((name, sense_code[code]))
-                row_senses[name] = sense_code[code]
-                row_terms[name] = {}
-            else:
+            elif code not in sense_code:
                 raise FormatError(f"line {lineno}: unknown row code {code!r}")
+            elif name in rows:
+                raise FormatError(f"line {lineno}: duplicate row {name!r}")
+            else:
+                rows[name] = [{}, sense_code[code], 0]
         elif section == "columns":
             if len(tokens) >= 3 and tokens[1] == "'MARKER'":
                 state = tokens[-1].strip("'").upper()
-                if state == "INTORG":
-                    integer_mode = True
-                elif state == "INTEND":
-                    integer_mode = False
-                else:
+                if state not in ("INTORG", "INTEND"):
                     raise FormatError(f"line {lineno}: unknown marker {state!r}")
+                integer_mode = state == "INTORG"
                 continue
             if len(tokens) not in (3, 5):
                 raise FormatError(f"line {lineno}: malformed column entry")
             var = tokens[0]
-            spec = spec_for(var)
-            spec.integer = spec.integer or integer_mode
+            column = columns[var]
+            if integer_mode:
+                column.kind = _INTORG
             for pos in range(1, len(tokens), 2):
                 row, value = tokens[pos], numbers.parse(
                     tokens[pos + 1], f"line {lineno}"
                 )
                 if row == obj_row:
-                    if value != 0:
-                        objective[var] = objective.get(var, 0) + value
-                elif row in row_terms:
-                    if value != 0:
-                        row_terms[row][var] = row_terms[row].get(var, 0) + value
+                    terms = objective
+                elif row in rows:
+                    terms = rows[row][0]
                 else:
                     raise FormatError(f"line {lineno}: unknown row {row!r}")
+                if value != 0:
+                    terms[var] = terms.get(var, 0) + value
         elif section == "rhs":
             pairs = tokens[1:] if len(tokens) % 2 == 1 else tokens
             for pos in range(0, len(pairs), 2):
@@ -597,45 +622,38 @@ def parse_mps(text: str) -> LinearModel:
                 )
                 if row == obj_row:
                     raise FormatError(f"line {lineno}: objective rhs not supported")
-                if row not in row_senses:
+                if row not in rows:
                     raise FormatError(f"line {lineno}: unknown row {row!r}")
-                rhs_values[row] = value
+                rows[row][2] = value
         elif section == "bounds":
             code = tokens[0].upper()
             if len(tokens) < 3:
                 raise FormatError(f"line {lineno}: malformed bound")
-            var = tokens[2]
-            spec = spec_for(var)
+            column = columns[tokens[2]]
             value = (
                 numbers.parse(tokens[3], f"line {lineno}")
                 if len(tokens) > 3
                 else None
             )
-            if code == "UP":
-                spec.upper = value
-            elif code == "LO":
-                spec.lower = value
+            if code in ("UP", "UI"):
+                column.upper = value
+            elif code in ("LO", "LI"):
+                column.lower = value
             elif code == "FX":
-                spec.lower = spec.upper = value
+                column.lower = column.upper = value
             elif code == "FR":
-                spec.lower = spec.upper = None
+                column.lower = column.upper = None
             elif code == "MI":
-                spec.lower = None
+                column.lower = None
             elif code == "PL":
-                spec.upper = None
+                column.upper = None
             elif code == "BV":
-                spec.binary = True
-                spec.integer = True
-                spec.lower, spec.upper = 0, 1
-            elif code in ("UI", "LI"):
-                spec.integer = True
-                if code == "UI":
-                    spec.upper = value
-                else:
-                    spec.lower = value
+                column.lower, column.upper = 0, 1
             else:
                 raise FormatError(f"line {lineno}: unknown bound code {code!r}")
-            spec.bounded = True
+            if code in ("BV", "UI", "LI"):
+                column.kind = _INTORG
+            column.bounded = True
         elif section == "name":
             raise FormatError(f"line {lineno}: stray content after NAME")
 
@@ -643,29 +661,7 @@ def parse_mps(text: str) -> LinearModel:
         raise FormatError("missing or non-MAX OBJSENSE (only maximization supported)")
     if obj_row is None:
         raise FormatError("no objective row declared")
-
-    model = LinearModel(metadata)
-    for name in var_order:
-        spec = specs[name]
-        if spec.integer:
-            lower = spec.lower if spec.bounded else 0
-            upper = spec.upper if spec.bounded else 1
-            if (
-                lower is None
-                or upper is None
-                or not (0 <= lower <= upper <= 1)
-            ):
-                raise FormatError(
-                    f"integer variable {name!r} with bounds outside [0, 1]: "
-                    "general integers not supported"
-                )
-            model.add_variable(name, BINARY, lower, upper)
-        else:
-            model.add_variable(name, CONTINUOUS, spec.lower, spec.upper)
-    model.set_objective(objective)
-    for name, sense in row_order:
-        model.add_constraint(row_terms[name], sense, rhs_values.get(name, 0), name)
-    return model.freeze()
+    return _assemble(metadata, columns, objective, rows)
 
 
 def parse_solution_file(model: LinearModel, text: str) -> dict[str, Exact]:

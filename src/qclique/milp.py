@@ -122,7 +122,7 @@ class LinearModel:
         stay within them.
         """
         self._guard()
-        if not name or any(ch.isspace() for ch in name):
+        if name.split() != [name]:  # empty, or holding any Unicode whitespace
             raise ModelError(f"invalid variable name {name!r}")
         if name in self._index:
             raise ModelError(f"duplicate variable name {name!r}")
@@ -174,7 +174,7 @@ class LinearModel:
         self._guard()
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}")
-        if not tag or any(ch.isspace() for ch in tag):
+        if tag.split() != [tag]:
             raise ModelError(f"invalid constraint tag {tag!r}")
         if tag in self._tags:
             raise ModelError(f"duplicate constraint tag {tag!r}")

@@ -627,6 +627,100 @@ class TestParseMpsDialect:
         assert model.variable("x").kind == BINARY
 
 
+def lp_model_text(rows: str, bounds: str = "", binaries: str = "") -> str:
+    text = f"Maximize\n obj: x\nSubject To\n{rows}\n"
+    if bounds:
+        text += f"Bounds\n{bounds}\n"
+    if binaries:
+        text += f"Binaries\n{binaries}\n"
+    return text + "End\n"
+
+
+def mps_model_text(rows: str, columns: str, bounds: str = "") -> str:
+    return (
+        "NAME m\nOBJSENSE\n    MAX\nROWS\n N obj\n"
+        f"{rows}\nCOLUMNS\n{columns}\nBOUNDS\n{bounds}\nENDATA\n"
+    )
+
+
+INTORG_X = "    M0  'MARKER'  'INTORG'\n    x  c  1\n    M1  'MARKER'  'INTEND'"
+
+
+class TestReaderContract:
+    """Both readers raise FormatError, never ModelError, for every text that
+    is no valid model."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: x <= 1\n c: x <= 2"),
+                "duplicate row 'c'",
+                id="lp-duplicate-row",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c\n G c", "    x  c  1"),
+                "line 7: duplicate row 'c'",
+                id="mps-duplicate-rows-line",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: x <= 1", " 3 <= x <= 2"),
+                "x bounds cross",
+                id="lp-crossing-bounds",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1", " LO BND x 3\n UP BND x 2"),
+                "x bounds cross",
+                id="mps-crossing-bounds",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: x <= 1", " 0 <= x <= 2", " x"),
+                "binary x bounds \\[0, 2\\] outside \\[0, 1\\]",
+                id="lp-binary-above-one",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: x <= 1", " x >= -1", " x"),
+                "binary x bounds \\[-1, 1\\] outside \\[0, 1\\]",
+                id="lp-binary-below-zero",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", INTORG_X, " LO BND x -1\n UP BND x 1"),
+                "'x' with bounds outside \\[0, 1\\]",
+                id="mps-intorg-below-zero",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", INTORG_X, " FR BND x"),
+                "'x' with bounds outside \\[0, 1\\]",
+                id="mps-intorg-free",
+            ),
+            # A BV bound sets [0, 1]; a later bound line that frees a side
+            # leaves an integer column without finite bounds.
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1", " BV BND x\n MI BND x"),
+                "'x' with bounds outside \\[0, 1\\]",
+                id="mps-bv-then-free",
+            ),
+        ],
+    )
+    def test_invalid_model_raises_format_error(self, parse, text, message):
+        with pytest.raises(FormatError, match=message):
+            parse(text)
+
+    def test_lp_binary_declared_free_reads_unit_bounds(self):
+        model = parse_lp(lp_model_text(" c: x <= 1", " x free", " x"))
+        x = model.variable("x")
+        assert (x.kind, x.lower, x.upper) == (BINARY, 0, 1)
+
+
 class TestParseSolutionFile:
     def test_values_comments_and_defaults(self):
         model = pair_selection_model()

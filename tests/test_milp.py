@@ -40,6 +40,15 @@ class TestVariables:
             m.add_variable("x 1", BINARY)
         with pytest.raises(ModelError, match="invalid variable name"):
             m.add_variable("", BINARY)
+        m.add_variable("x", BINARY)
+        # Every Unicode whitespace counts, as str.isspace() has it.
+        for space in ("\u00a0", "\u2003", "\u001f"):
+            with pytest.raises(ModelError, match="invalid variable name"):
+                m.add_variable(f"x{space}1", BINARY)
+            with pytest.raises(ModelError, match="invalid constraint tag"):
+                m.add_constraint({"x": 1}, "<=", 1, f"c{space}1")
+        with pytest.raises(ModelError, match="invalid constraint tag"):
+            m.add_constraint({"x": 1}, "<=", 1, "")
 
     def test_binary_defaults_to_unit_bounds(self):
         m = LinearModel()
