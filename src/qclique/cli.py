@@ -138,7 +138,7 @@ def _certificate_line(g: Graph, vertices: tuple[int, ...]) -> str:
     else:
         spec = ProblemSpec.dks(size, mode=Connectivity.CSTREE)
     model, layout = build_problem_model(g, spec)
-    witness = build_certificate(g, vertices, Connectivity.CSTREE, u=size)
+    witness = build_certificate(g, vertices, Connectivity.CSTREE)
     assignment = dict(indicator_assignment(layout, vertices))
     assignment.update(witness.assignment)
     report = model.evaluate(assignment)
@@ -155,26 +155,10 @@ def cmd_stats(args) -> int:
     return EXIT_SOLVED
 
 
-def _emit_model(g: Graph, spec: ProblemSpec, lp_path, mps_path) -> None:
-    model, _ = build_problem_model(g, spec)
-    for path, renderer in ((lp_path, export_lp), (mps_path, export_mps)):
-        if path is None:
-            continue
-        Path(path).write_text(renderer(model), encoding="utf-8")
-        print(
-            f"wrote {path} ({len(model.variables)} variables, "
-            f"{len(model.constraints)} rows)"
-        )
-
-
 def cmd_solve(args) -> int:
     g = load_graph(args.instance)
     engine = _resolve_engine(args)
     spec = _problem_spec(args, Connectivity(args.mode))
-    if args.emit_lp or args.emit_mps:
-        _emit_model(g, spec, args.emit_lp, args.emit_mps)
-        return EXIT_SOLVED
-
     limits = Limits(time_seconds=args.time_limit, memory_bytes=args.mem_limit)
     solution = solve_problem(g, spec, engine=engine, limits=limits)
 
@@ -276,7 +260,15 @@ def cmd_emit(args) -> int:
     spec = _problem_spec(args, Connectivity(args.mode))
     if not args.lp and not args.mps:
         raise CliError("pass --lp and/or --mps output paths")
-    _emit_model(g, spec, args.lp, args.mps)
+    model, _ = build_problem_model(g, spec)
+    for path, renderer in ((args.lp, export_lp), (args.mps, export_mps)):
+        if path is None:
+            continue
+        Path(path).write_text(renderer(model), encoding="utf-8")
+        print(
+            f"wrote {path} ({len(model.variables)} variables, "
+            f"{len(model.constraints)} rows)"
+        )
     return EXIT_SOLVED
 
 
@@ -327,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="optimizer (default: bnb)",
     )
     _add_limit_flags(solve)
-    solve.add_argument("--emit-lp", metavar="PATH", help="write model, skip solving")
-    solve.add_argument("--emit-mps", metavar="PATH", help="write model, skip solving")
     solve.add_argument(
         "--certify",
         action="store_true",

@@ -3,9 +3,10 @@
 solve_problem routes a ProblemSpec to the right machinery: the
 combinatorial solvers, the cut-separation loop, the bundled HiGHS engine,
 or an external backend process - building the matching model (edge-count
-or threshold formulation plus the requested connectivity rows) when a
-model-based engine is selected. Objectives are always recomputed from the
-graph, and vertex sets come back in ascending order.
+or threshold formulation plus the requested connectivity add-on, which
+reads its size constant from the base model) when a model-based engine is
+selected. Objectives are always recomputed from the graph, and vertex sets
+come back in ascending order.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ from .milp import LinearModel
 from .solve import Limits, Solution, SolveError, branch_and_bound, brute_force
 
 
+_ADD_ONS = {
+    Connectivity.MPR: add_mpr,
+    Connectivity.CSTREE: add_cstree,
+    Connectivity.CFLOW: add_cflow,
+}
+
+
 def build_problem_model(
     g: Graph, spec: ProblemSpec
 ) -> tuple[LinearModel, VariableLayout]:
@@ -52,18 +60,10 @@ def build_problem_model(
         raise SolveError("cut separation builds no static model; solve instead")
     if spec.problem is Problem.DKS:
         model, layout = build_m1(g, spec.k)
-        if spec.mode is Connectivity.CSTREE:
-            model, layout = add_cstree(model, layout, g, spec.k)
-        elif spec.mode is Connectivity.CFLOW:
-            model, layout = add_cflow(model, layout, g, spec.k)
-        return model, layout
-    lower, upper = default_bounds(g, spec.gamma)
-    model, layout = build_f3(g, spec.gamma, lower, upper)
-    if spec.mode is Connectivity.MPR:
-        model, layout = add_mpr(model, layout, g, upper)
-    elif spec.mode is Connectivity.CSTREE:
-        model, layout = add_cstree(model, layout, g, upper)
-    return model, layout
+    else:
+        model, layout = build_f3(g, spec.gamma, *default_bounds(g, spec.gamma))
+    add = _ADD_ONS.get(spec.mode)
+    return add(model, layout, g) if add else (model, layout)
 
 
 def solve_problem(

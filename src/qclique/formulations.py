@@ -22,6 +22,9 @@ Four add-on families force the selected set to be connected:
 - lazy_cuts: separation rows generated from a disconnected candidate, stating
   that each of its fragments must recruit one of its outside neighbors.
 
+Each add-on takes (model, layout, g) and reads its size constant from the
+layout: the threshold model's upper size bound, or the fixed cardinality k.
+
 build_certificate constructs an explicit witness assignment for the tree and
 flow families on a given connected vertex set, so connectivity claims can be
 re-verified through LinearModel.evaluate alone.
@@ -374,24 +377,19 @@ def _source_rows(
 
 
 def add_mpr(
-    model: LinearModel, layout: VariableLayout, g: Graph, u: int
+    model: LinearModel, layout: VariableLayout, g: Graph
 ) -> tuple[LinearModel, VariableLayout]:
     """Add source-plus-signed-flow connectivity rows to a threshold model.
 
     One binary c_i marks the source; one free continuous flow per edge,
     oriented from the smaller to the larger endpoint, may run negative. The
     balance rows force the source's net outflow to (selected size - 1) and
-    every other selected vertex's to -1, with u as the deactivation constant;
-    the per-edge bound rows cap |flow| by (u - 1) times the edge indicator.
-    u must equal the model's upper size bound: anything larger weakens the
-    rows, anything smaller cuts off feasible selections.
+    every other selected vertex's to -1, with the model's upper size bound u
+    as the deactivation constant; the per-edge bound rows cap |flow| by
+    (u - 1) times the edge indicator.
     """
     _require_base(model, layout, g, ("f3",), "add_mpr")
-    if u != layout.bounds[1]:
-        raise FormulationError(
-            f"add_mpr: u={u} differs from the model's upper size bound "
-            f"{layout.bounds[1]}"
-        )
+    u = layout.bounds[1]
     x = layout.x
     source = _source_rows(model, g, x, "c", "Eq3")
     edge_flow: dict[tuple[int, int], str] = {}
@@ -426,18 +424,19 @@ def add_mpr(
     return model, new_layout
 
 
-def _arc_name(prefix: str, arc: tuple[int, int], root: int | None) -> str:
+def _arc_name(prefix: str, arc: tuple[int, int], root: int) -> str:
     return f"{prefix}_{_arc_tag(arc, root)}"
 
 
-def _arc_tag(arc: tuple[int, int], root: int | None) -> str:
+def _arc_tag(arc: tuple[int, int], root: int) -> str:
+    """Arc (a, b) as "a_b", with the artificial root id rendered "r"; only
+    the rooted arc set starts an arc at the root id."""
     a, b = arc
-    left = "r" if root is not None and a == root else str(a)
-    return f"{left}_{b}"
+    return f"{'r' if a == root else a}_{b}"
 
 
 def add_cstree(
-    model: LinearModel, layout: VariableLayout, g: Graph, u: int
+    model: LinearModel, layout: VariableLayout, g: Graph
 ) -> tuple[LinearModel, VariableLayout]:
     """Add rooted in-tree connectivity rows (works on both base models).
 
@@ -450,25 +449,21 @@ def add_cstree(
     (u - 1) times its use variable (u for root arcs), with unit lower bounds
     tying flow to use; the root ships exactly the selected size. An empty
     selection is infeasible under these rows, which both base models already
-    rule out. For the fixed-cardinality model u must equal k; for the
-    threshold model u must equal the upper size bound.
+    rule out. u is k on the fixed-cardinality model and the upper size bound
+    on the threshold model.
     """
     _require_base(model, layout, g, ("m1", "f3"), "add_cstree")
-    bound = layout.k if layout.kind == "m1" else layout.bounds[1]
-    if u != bound:
-        raise FormulationError(
-            f"add_cstree: u={u} differs from the model's size bound {bound}"
-        )
-    rooted = oriented_arcs(g, rooted=True)
-    root = rooted.root
+    u = layout.k if layout.kind == "m1" else layout.bounds[1]
+    arcs = oriented_arcs(g, rooted=True)
+    root = g.n
     x = layout.x
     arc_use: dict[tuple[int, int], str] = {}
     arc_flow: dict[tuple[int, int], str] = {}
-    for arc in rooted.arcs:
+    for arc in arcs:
         name = _arc_name("v", arc, root)
         arc_use[arc] = name
         model.add_variable(name, BINARY)
-    for arc in rooted.arcs:
+    for arc in arcs:
         name = _arc_name("fa", arc, root)
         arc_flow[arc] = name
         model.add_variable(name, CONTINUOUS, 0, None)
@@ -492,12 +487,12 @@ def add_cstree(
             balance[arc_flow[(j, i)]] = -1
         balance[x[j]] = -1
         model.add_constraint(balance, "=", 0, f"Eq5c:j={j}")
-    for arc in rooted.arcs:
+    for arc in arcs:
         tag = _arc_tag(arc, root)
         model.add_constraint(
             {arc_flow[arc]: 1, arc_use[arc]: -1}, ">=", 0, f"Eq5d:a={tag}"
         )
-    for arc in rooted.arcs:
+    for arc in arcs:
         if arc[0] == root:
             continue
         tag = _arc_tag(arc, root)
@@ -537,7 +532,7 @@ def add_cstree(
 
 
 def add_cflow(
-    model: LinearModel, layout: VariableLayout, g: Graph, k: int
+    model: LinearModel, layout: VariableLayout, g: Graph
 ) -> tuple[LinearModel, VariableLayout]:
     """Add source-plus-flow connectivity rows to a fixed-cardinality model.
 
@@ -545,19 +540,15 @@ def add_cflow(
     flow per arc direction, capped by k times the edge indicator. Balance
     rows make the source emit k - 1 net units and every other selected vertex
     absorb one, so all k selected vertices must be reachable from the source.
-    k must match the model's cardinality; an empty selection is infeasible
-    under these rows, which the base model already rules out.
+    k is the model's cardinality; an empty selection is infeasible under these
+    rows, which the base model already rules out.
     """
     _require_base(model, layout, g, ("m1",), "add_cflow")
-    if k != layout.k:
-        raise FormulationError(
-            f"add_cflow: k={k} differs from the model's cardinality {layout.k}"
-        )
+    k = layout.k
     source = _source_rows(model, g, layout.x, "s", "Eq6")
-    arcs = oriented_arcs(g, rooted=False)
     arc_flow: dict[tuple[int, int], str] = {}
-    for arc in arcs.arcs:
-        name = _arc_name("fd", arc, None)
+    for arc in oriented_arcs(g, rooted=False):
+        name = _arc_name("fd", arc, g.n)
         arc_flow[arc] = name
         model.add_variable(name, CONTINUOUS, 0, None)
     for i, j in g.edges:
@@ -643,49 +634,30 @@ def _subtree_sizes(parent: dict[int, int], source: int) -> dict[int, int]:
 
 
 def build_certificate(
-    g: Graph,
-    s: Iterable[int],
-    mode: Connectivity,
-    *,
-    u: int | None = None,
-    k: int | None = None,
+    g: Graph, s: Iterable[int], mode: Connectivity
 ) -> Certificate | str:
     """Construct a connectivity witness, or report "disconnected".
 
     For a connected selection, builds a spanning tree from the smallest
     member and returns the full assignment fragment over the mode's
     connectivity variables (all of them, zeros included): tree arcs carry
-    their subtree sizes, the root/source ships the selection size. CSTREE
-    needs u >= |s| (pass the model's size bound); CFLOW needs k == |s|.
+    their subtree sizes, the root/source ships the selection size. Whether
+    the selection fits a model's size bound or cardinality is left to
+    LinearModel.evaluate on that model.
     """
     members = check_vertex_set(g, s)
     if not members:
         raise FormulationError("cannot certify an empty selection")
-    if mode is Connectivity.CSTREE:
-        if u is None:
-            raise FormulationError("cstree certificate needs u")
-        if u < len(members):
-            raise FormulationError(
-                f"u={u} smaller than the selection size {len(members)}"
-            )
-    elif mode is Connectivity.CFLOW:
-        if k is None:
-            raise FormulationError("cflow certificate needs k")
-        if k != len(members):
-            raise FormulationError(
-                f"k={k} does not match the selection size {len(members)}"
-            )
-    else:
+    if mode not in (Connectivity.CSTREE, Connectivity.CFLOW):
         raise FormulationError(f"no certificate form for mode {mode.value}")
     if not is_connected(g, members):
         return DISCONNECTED
     source, parent = _bfs_tree(g, members)
     sizes = _subtree_sizes(parent, source)
     assignment: dict[str, int] = {}
+    root = g.n
     if mode is Connectivity.CSTREE:
-        rooted = oriented_arcs(g, rooted=True)
-        root = rooted.root
-        for arc in rooted.arcs:
+        for arc in oriented_arcs(g, rooted=True):
             assignment[_arc_name("v", arc, root)] = 0
             assignment[_arc_name("fa", arc, root)] = 0
         assignment[_arc_name("v", (root, source), root)] = 1
@@ -696,15 +668,14 @@ def build_certificate(
             assignment[_arc_name("v", (par, child), root)] = 1
             assignment[_arc_name("fa", (par, child), root)] = sizes[child]
     else:
-        arcs = oriented_arcs(g, rooted=False)
         for i in range(g.n):
             assignment[f"s_{i}"] = int(i == source)
-        for arc in arcs.arcs:
-            assignment[_arc_name("fd", arc, None)] = 0
+        for arc in oriented_arcs(g, rooted=False):
+            assignment[_arc_name("fd", arc, root)] = 0
         for child, par in parent.items():
             if child == source:
                 continue
-            assignment[_arc_name("fd", (par, child), None)] = sizes[child]
+            assignment[_arc_name("fd", (par, child), root)] = sizes[child]
     return Certificate(mode=mode, source=source, assignment=assignment)
 
 

@@ -344,26 +344,10 @@ def largest_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     return Graph(len(best), edges, labels), mapping
 
 
-@dataclass(frozen=True)
-class OrientedArcs:
-    """Bi-directed arcs for a graph, optionally with a root vertex.
-
-    The root is the sentinel id g.n, outside the vertex range; rooted form
-    appends one arc (root, j) for every vertex j.
-    """
-
-    arcs: tuple[tuple[int, int], ...]
-    root: int | None = None
-
-
-def oriented_arcs(g: Graph, rooted: bool = False) -> OrientedArcs:
-    """Arcs (i, j), (j, i) per edge in edge order, then root arcs if rooted."""
-    arcs: list[tuple[int, int]] = []
-    for i, j in g.edges:
-        arcs.append((i, j))
-        arcs.append((j, i))
-    if not rooted:
-        return OrientedArcs(tuple(arcs), None)
-    root = g.n
-    arcs.extend((root, j) for j in range(g.n))
-    return OrientedArcs(tuple(arcs), root)
+def oriented_arcs(g: Graph, rooted: bool = False) -> tuple[tuple[int, int], ...]:
+    """Arcs (i, j), (j, i) per edge in edge order; if rooted, then one arc
+    (g.n, j) per vertex j from the root sentinel g.n, outside the vertex range."""
+    arcs = [arc for i, j in g.edges for arc in ((i, j), (j, i))]
+    if rooted:
+        arcs.extend((g.n, j) for j in range(g.n))
+    return tuple(arcs)

@@ -468,7 +468,7 @@ def parse_lp(text: str) -> LinearModel:
         obj_tokens = obj_tokens[cut + 1 :]
     objective = _parse_expression(obj_tokens, "objective", numbers)
 
-    rows: dict[str, list] = {}
+    parsed: list[tuple[str | None, list]] = []
     row_tokens = " ".join(section_lines["rows"]).replace(":", " : ").split()
     i = 0
     while i < len(row_tokens):
@@ -476,7 +476,7 @@ def parse_lp(text: str) -> LinearModel:
         if i + 1 < len(row_tokens) and row_tokens[i + 1] == ":":
             name = row_tokens[i]
             i += 2
-        where = f"row {name or len(rows)}"
+        where = f"row {name or len(parsed)}"
         start = i
         while i < len(row_tokens) and row_tokens[i] not in ("<=", ">=", "=", "<", ">"):
             if row_tokens[i] == ":":
@@ -487,11 +487,22 @@ def parse_lp(text: str) -> LinearModel:
         sense = {"<": "<=", ">": ">="}.get(row_tokens[i], row_tokens[i])
         rhs = numbers.parse(row_tokens[i + 1], f"{where} rhs")
         terms = _parse_expression(row_tokens[start:i], where, numbers)
-        name = name or f"r{len(rows)}"
-        if name in rows:
-            raise FormatError(f"duplicate row {name!r}")
-        rows[name] = [terms, sense, rhs]
+        parsed.append((name, [terms, sense, rhs]))
         i += 2
+
+    # An unnamed row is "r<position>", or that with "_" appended until no row
+    # of the text has the name.
+    taken = {name for name, _ in parsed}
+    rows: dict[str, list] = {}
+    for position, (name, row) in enumerate(parsed):
+        if name is None:
+            name = f"r{position}"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+        elif name in rows:
+            raise FormatError(f"duplicate row {name!r}")
+        rows[name] = row
 
     columns = _Columns()
 
@@ -573,20 +584,22 @@ def parse_mps(text: str) -> LinearModel:
             else:
                 raise FormatError(f"line {lineno}: unknown section {tokens[0]!r}")
             continue
+        if section is None:
+            raise FormatError(f"line {lineno}: data before the first section header")
         if section == "objsense":
             objsense = tokens[0].upper()
         elif section == "rows":
             if len(tokens) != 2:
                 raise FormatError(f"line {lineno}: malformed row declaration")
             code, name = tokens[0].upper(), tokens[1]
+            if name in rows or name == obj_row:
+                raise FormatError(f"line {lineno}: duplicate row {name!r}")
             if code == "N":
                 if obj_row is not None:
                     raise FormatError(f"line {lineno}: second objective row")
                 obj_row = name
             elif code not in sense_code:
                 raise FormatError(f"line {lineno}: unknown row code {code!r}")
-            elif name in rows:
-                raise FormatError(f"line {lineno}: duplicate row {name!r}")
             else:
                 rows[name] = [{}, sense_code[code], 0]
         elif section == "columns":

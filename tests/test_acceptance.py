@@ -129,8 +129,8 @@ def test_criterion_1_oracle_equivalence(announce):
     )
 
 
-def _certificate_feasible(model, layout, g, members, mode, **kwargs) -> bool:
-    witness = build_certificate(g, members, mode, **kwargs)
+def _certificate_feasible(model, layout, g, members, mode) -> bool:
+    witness = build_certificate(g, members, mode)
     assignment = dict(indicator_assignment(layout, members))
     assignment.update(witness.assignment)
     report = model.evaluate(assignment)
@@ -154,19 +154,19 @@ def test_criterion_2_rows_satisfiable_iff_connected(announce):
                         model, layout = build_f3(g, Fraction(1), 1, 1)
                     else:
                         model, layout = build_m1(g, size)
-                    cache[("cstree", size)] = add_cstree(model, layout, g, size)
+                    cache[("cstree", size)] = add_cstree(model, layout, g)
                 model, layout = cache[("cstree", size)]
                 if not _certificate_feasible(
-                    model, layout, g, members, Connectivity.CSTREE, u=size
+                    model, layout, g, members, Connectivity.CSTREE
                 ):
                     problems.append(f"cstree witness rejected: {mask=} {members=}")
                 if size >= 2:
                     if ("cflow", size) not in cache:
                         model, layout = build_m1(g, size)
-                        cache[("cflow", size)] = add_cflow(model, layout, g, size)
+                        cache[("cflow", size)] = add_cflow(model, layout, g)
                     model, layout = cache[("cflow", size)]
                     if not _certificate_feasible(
-                        model, layout, g, members, Connectivity.CFLOW, k=size
+                        model, layout, g, members, Connectivity.CFLOW
                     ):
                         problems.append(
                             f"cflow witness rejected: {mask=} {members=}"
@@ -295,7 +295,7 @@ def test_criterion_4_model_size_audits(announce):
 
         model, layout = build_m1(g, k)
         expect(f"{tag} m1", model, n + m, 1 + 2 * m)
-        model, layout = add_cstree(model, layout, g, k)
+        model, layout = add_cstree(model, layout, g)
         expect(
             f"{tag} m1+cstree",
             model,
@@ -304,7 +304,7 @@ def test_criterion_4_model_size_audits(announce):
         )
 
         model, layout = build_m1(g, k)
-        model, layout = add_cflow(model, layout, g, k)
+        model, layout = add_cflow(model, layout, g)
         expect(
             f"{tag} m1+cflow",
             model,
@@ -315,7 +315,7 @@ def test_criterion_4_model_size_audits(announce):
         lower, upper = default_bounds(g, Fraction(1, 2))
         model, layout = build_f3(g, Fraction(1, 2), lower, upper)
         expect(f"{tag} f3", model, n + m + (upper - lower + 1), 3 + 2 * m)
-        model, layout = add_mpr(model, layout, g, upper)
+        model, layout = add_mpr(model, layout, g)
         expect(
             f"{tag} f3+mpr",
             model,
@@ -324,7 +324,7 @@ def test_criterion_4_model_size_audits(announce):
         )
 
         model, layout = build_f3(g, Fraction(1, 2), lower, upper)
-        model, layout = add_cstree(model, layout, g, upper)
+        model, layout = add_cstree(model, layout, g)
         expect(
             f"{tag} f3+cstree",
             model,

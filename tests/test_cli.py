@@ -226,60 +226,6 @@ class TestSolve:
         assert "size 1, connected, Optimal" in out
         assert "certificate: verified" in out
 
-    def test_emit_lp_skips_solving(self, tmp_path, capsys, triangle):
-        target = tmp_path / "model.lp"
-        code = main(
-            [
-                "solve",
-                write_graph(tmp_path, triangle),
-                "--k",
-                "2",
-                "--emit-lp",
-                str(target),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == EXIT_SOLVED
-        assert f"wrote {target}" in out
-        assert "elapsed:" not in out
-        model = parse_lp(target.read_text(encoding="utf-8"))
-        assert len(model.constraints) == 7
-
-    def test_emit_mps(self, tmp_path, capsys, triangle):
-        target = tmp_path / "model.mps"
-        code = main(
-            [
-                "solve",
-                write_graph(tmp_path, triangle),
-                "--gamma",
-                "1/2",
-                "--mode",
-                "cstree",
-                "--emit-mps",
-                str(target),
-            ]
-        )
-        assert code == EXIT_SOLVED
-        parsed = parse_mps(target.read_text(encoding="utf-8"))
-        assert parsed.binary_names()
-        capsys.readouterr()
-
-    def test_emit_rejects_lazy_mode(self, tmp_path, capsys, triangle):
-        code = main(
-            [
-                "solve",
-                write_graph(tmp_path, triangle),
-                "--k",
-                "2",
-                "--mode",
-                "lazy",
-                "--emit-lp",
-                str(tmp_path / "x.lp"),
-            ]
-        )
-        assert code == EXIT_INPUT
-        assert "no static model" in capsys.readouterr().err
-
     def test_backend_engine_needs_environment(
         self, tmp_path, capsys, two_k4s, monkeypatch
     ):
@@ -562,6 +508,60 @@ class TestEmit:
         code = main(["emit", write_graph(tmp_path, triangle), "--k", "2"])
         assert code == EXIT_INPUT
         assert "--lp" in capsys.readouterr().err
+
+    def test_emit_lp_skips_solving(self, tmp_path, capsys, triangle):
+        target = tmp_path / "model.lp"
+        code = main(
+            [
+                "emit",
+                write_graph(tmp_path, triangle),
+                "--k",
+                "2",
+                "--lp",
+                str(target),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_SOLVED
+        assert f"wrote {target}" in out
+        assert "elapsed:" not in out
+        model = parse_lp(target.read_text(encoding="utf-8"))
+        assert len(model.constraints) == 7
+
+    def test_emit_mps(self, tmp_path, capsys, triangle):
+        target = tmp_path / "model.mps"
+        code = main(
+            [
+                "emit",
+                write_graph(tmp_path, triangle),
+                "--gamma",
+                "1/2",
+                "--mode",
+                "cstree",
+                "--mps",
+                str(target),
+            ]
+        )
+        assert code == EXIT_SOLVED
+        parsed = parse_mps(target.read_text(encoding="utf-8"))
+        assert parsed.binary_names()
+        capsys.readouterr()
+
+    def test_emit_rejects_lazy_mode(self, tmp_path, capsys, triangle):
+        code = main(
+            [
+                "emit",
+                write_graph(tmp_path, triangle),
+                "--k",
+                "2",
+                "--mode",
+                "lazy",
+                "--lp",
+                str(tmp_path / "x.lp"),
+            ]
+        )
+        assert code == EXIT_INPUT
+        assert "no static model" in capsys.readouterr().err
 
 
 class TestParser:

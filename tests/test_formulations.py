@@ -37,6 +37,11 @@ def subsets(n: int, min_size: int = 0):
         yield from itertools.combinations(range(n), size)
 
 
+def row_by_tag(model, tag):
+    (row,) = (c for c in model.constraints if c.tag == tag)
+    return row
+
+
 def best_feasible(model, layout, g, min_size=0, require_connected=False):
     """Model optimum over integral selections, by exhaustive evaluation.
 
@@ -213,13 +218,13 @@ class TestAddMpr:
     def test_counts(self, path3):
         model, layout = build_f3(path3, Fraction(2, 3), 1, 3)
         base_vars, base_rows = len(model.variables), len(model.constraints)
-        model, layout = add_mpr(model, layout, path3, 3)
+        model, layout = add_mpr(model, layout, path3)
         assert len(model.variables) == base_vars + path3.n + path3.m
         assert len(model.constraints) == base_rows + 1 + 5 * path3.n + 2 * path3.m
         assert layout.connectivity is Connectivity.MPR
 
     def test_middle_source_with_signed_flows_feasible(self, path3):
-        model, layout = add_mpr(*build_f3(path3, Fraction(2, 3), 1, 3), path3, 3)
+        model, layout = add_mpr(*build_f3(path3, Fraction(2, 3), 1, 3), path3)
         values = indicator_assignment(layout, (0, 1, 2))
         values.update({"c_0": 0, "c_1": 1, "c_2": 0})
         values.update({"fe_0_1": -1, "fe_1_2": 1})
@@ -228,14 +233,14 @@ class TestAddMpr:
         assert report.integral
 
     def test_no_source_violates_choice_row(self, path3):
-        model, layout = add_mpr(*build_f3(path3, Fraction(2, 3), 1, 3), path3, 3)
+        model, layout = add_mpr(*build_f3(path3, Fraction(2, 3), 1, 3), path3)
         values = indicator_assignment(layout, (0, 1, 2))
         values.update({"c_0": 0, "c_1": 0, "c_2": 0, "fe_0_1": 0, "fe_1_2": 0})
         report = model.evaluate(values)
         assert dict(report.violations)["Eq3a"] == 1
 
     def test_unselected_source_violates_support_row(self, path3):
-        model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3, 3)
+        model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3)
         values = indicator_assignment(layout, (0, 1))
         values.update({"c_0": 0, "c_1": 0, "c_2": 1, "fe_0_1": 1, "fe_1_2": 0})
         report = model.evaluate(values)
@@ -244,7 +249,7 @@ class TestAddMpr:
     def test_disconnected_selection_has_no_flow_completion(self, path3):
         # Selection {0, 2} leaves both flows clamped to zero; every candidate
         # source then violates some balance row.
-        model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3, 3)
+        model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3)
         base = indicator_assignment(layout, (0, 2))
         for src in range(3):
             values = dict(base)
@@ -253,38 +258,39 @@ class TestAddMpr:
             report = model.evaluate(values)
             assert not report.feasible
 
-    def test_mismatched_u_rejected(self, path3):
-        model, layout = build_f3(path3, Fraction(1), 1, 3)
-        with pytest.raises(FormulationError, match="upper size bound"):
-            add_mpr(model, layout, path3, 2)
+    def test_constant_is_the_upper_size_bound(self, path3):
+        model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 2), path3)
+        row = row_by_tag(model, "Eq3c:i=1")
+        assert row.terms["c_1"] == -2
+        assert row.rhs == -3
 
     def test_requires_threshold_model(self, path3):
         model, layout = build_m1(path3, 2)
         with pytest.raises(FormulationError, match="requires a f3 model"):
-            add_mpr(model, layout, path3, 2)
+            add_mpr(model, layout, path3)
 
     def test_double_add_rejected(self, path3):
-        model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3, 3)
+        model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3)
         with pytest.raises(FormulationError, match="already carries"):
-            add_mpr(model, layout, path3, 3)
+            add_mpr(model, layout, path3)
 
     def test_frozen_model_rejected(self, path3):
         model, layout = build_f3(path3, Fraction(1), 1, 3)
         model.freeze()
         with pytest.raises(FormulationError, match="frozen"):
-            add_mpr(model, layout, path3, 3)
+            add_mpr(model, layout, path3)
 
     def test_wrong_graph_rejected(self, path3, triangle):
         model, layout = build_f3(path3, Fraction(1), 1, 3)
         with pytest.raises(FormulationError, match="different graph"):
-            add_mpr(model, layout, triangle, 3)
+            add_mpr(model, layout, triangle)
 
 
 class TestAddCstree:
     def test_counts_on_triangle(self, triangle):
         model, layout = build_f3(triangle, Fraction(1), 1, 3)
         base_vars, base_rows = len(model.variables), len(model.constraints)
-        model, layout = add_cstree(model, layout, triangle, 3)
+        model, layout = add_cstree(model, layout, triangle)
         # 2|E| + n arcs, one use binary and one flow each.
         assert len(model.variables) == base_vars + 2 * (2 * 3 + 3)
         assert (
@@ -293,7 +299,7 @@ class TestAddCstree:
         )
 
     def test_path_witness_assignment_feasible(self, path3):
-        model, layout = add_cstree(*build_f3(path3, Fraction(2, 3), 1, 3), path3, 3)
+        model, layout = add_cstree(*build_f3(path3, Fraction(2, 3), 1, 3), path3)
         values = indicator_assignment(layout, (0, 1, 2))
         for arc, name in layout.arc_use.items():
             values[name] = 0
@@ -310,22 +316,21 @@ class TestAddCstree:
         assert report.integral
 
     def test_works_on_cardinality_model_with_u_equal_k(self, path3):
-        model, layout = add_cstree(*build_m1(path3, 2), path3, 2)
-        cert = build_certificate(path3, (0, 1), Connectivity.CSTREE, u=2)
+        model, layout = add_cstree(*build_m1(path3, 2), path3)
+        cert = build_certificate(path3, (0, 1), Connectivity.CSTREE)
         values = indicator_assignment(layout, (0, 1))
         values.update(cert.assignment)
         assert model.evaluate(values).feasible
 
-    def test_mismatched_u_rejected(self, path3):
-        model, layout = build_m1(path3, 2)
-        with pytest.raises(FormulationError, match="size bound"):
-            add_cstree(model, layout, path3, 3)
+    def test_constant_is_the_upper_size_bound(self, path3):
+        model, _ = add_cstree(*build_f3(path3, Fraction(1), 1, 2), path3)
+        assert row_by_tag(model, "Eq5f:j=1").terms["v_r_1"] == -2
 
     def test_disconnected_pair_has_no_tree_completion(self, path3):
         # Exhaustive check over all binary arc-use patterns for S = {0, 2}:
         # flows are forced to zero on unused arcs, and used arcs must respect
         # the per-selection in-degree rows, so no pattern survives.
-        model, layout = add_cstree(*build_f3(path3, Fraction(1), 1, 3), path3, 3)
+        model, layout = add_cstree(*build_f3(path3, Fraction(1), 1, 3), path3)
         base = indicator_assignment(layout, (0, 2))
         arcs = list(layout.arc_use)
         feasible_found = False
@@ -350,7 +355,7 @@ class TestAddCstree:
     @given(graphs(min_n=1, max_n=7), st.data())
     @settings(max_examples=40, deadline=None)
     def test_counts_match_closed_forms(self, g, data):
-        model, _ = add_cstree(*build_f3(g, Fraction(1, 2), 1, g.n), g, g.n)
+        model, _ = add_cstree(*build_f3(g, Fraction(1, 2), 1, g.n), g)
         assert len(model.variables) == (g.n + g.m + g.n) + 2 * (2 * g.m + g.n)
         assert len(model.constraints) == (3 + 2 * g.m) + (
             4 * g.n + 5 * g.m + 2
@@ -361,12 +366,12 @@ class TestAddCflow:
     def test_counts(self, path3):
         model, layout = build_m1(path3, 3)
         base_vars, base_rows = len(model.variables), len(model.constraints)
-        model, layout = add_cflow(model, layout, path3, 3)
+        model, layout = add_cflow(model, layout, path3)
         assert len(model.variables) == base_vars + path3.n + 2 * path3.m
         assert len(model.constraints) == base_rows + 1 + 2 * path3.n + 2 * path3.m
 
     def test_path_witness_feasible(self, path3):
-        model, layout = add_cflow(*build_m1(path3, 3), path3, 3)
+        model, layout = add_cflow(*build_m1(path3, 3), path3)
         values = indicator_assignment(layout, (0, 1, 2))
         values.update({"s_0": 1, "s_1": 0, "s_2": 0})
         values.update({"fd_0_1": 2, "fd_1_0": 0, "fd_1_2": 1, "fd_2_1": 0})
@@ -374,14 +379,14 @@ class TestAddCflow:
         assert report.feasible, report.violations
 
     def test_no_source_violated(self, path3):
-        model, layout = add_cflow(*build_m1(path3, 2), path3, 2)
+        model, layout = add_cflow(*build_m1(path3, 2), path3)
         values = indicator_assignment(layout, (0, 1))
         values.update({"s_0": 0, "s_1": 0, "s_2": 0})
         values.update({"fd_0_1": 0, "fd_1_0": 0, "fd_1_2": 0, "fd_2_1": 0})
         assert dict(model.evaluate(values).violations)["Eq6a"] == 1
 
     def test_flow_without_edge_indicator_violated(self, path3):
-        model, layout = add_cflow(*build_m1(path3, 2), path3, 2)
+        model, layout = add_cflow(*build_m1(path3, 2), path3)
         values = indicator_assignment(layout, (0, 2))
         values.update({"s_0": 1, "s_1": 0, "s_2": 0})
         values.update({"fd_0_1": 1, "fd_1_0": 0, "fd_1_2": 0, "fd_2_1": 0})
@@ -391,18 +396,17 @@ class TestAddCflow:
     def test_requires_cardinality_model(self, path3):
         model, layout = build_f3(path3, Fraction(1), 1, 3)
         with pytest.raises(FormulationError, match="requires a m1 model"):
-            add_cflow(model, layout, path3, 3)
+            add_cflow(model, layout, path3)
 
-    def test_mismatched_k_rejected(self, path3):
-        model, layout = build_m1(path3, 2)
-        with pytest.raises(FormulationError, match="cardinality"):
-            add_cflow(model, layout, path3, 3)
+    def test_constant_is_the_cardinality(self, path3):
+        model, _ = add_cflow(*build_m1(path3, 2), path3)
+        assert row_by_tag(model, "Eq6c:e=0_1").terms["y_0_1"] == -2
 
     @given(graphs(min_n=2, max_n=7), st.data())
     @settings(max_examples=40, deadline=None)
     def test_counts_match_closed_forms(self, g, data):
         k = data.draw(st.integers(2, g.n), label="k")
-        model, _ = add_cflow(*build_m1(g, k), g, k)
+        model, _ = add_cflow(*build_m1(g, k), g)
         assert len(model.variables) == (g.n + g.m) + (g.n + 2 * g.m)
         assert len(model.constraints) == (1 + 2 * g.m) + (
             1 + 2 * g.n + 2 * g.m
@@ -480,7 +484,7 @@ class TestLazyCuts:
 
 class TestBuildCertificate:
     def test_path_cstree_witness_matches_expected(self, path3):
-        cert = build_certificate(path3, (0, 1, 2), Connectivity.CSTREE, u=3)
+        cert = build_certificate(path3, (0, 1, 2), Connectivity.CSTREE)
         assert isinstance(cert, Certificate)
         assert cert.source == 0
         nonzero = {k: v for k, v in cert.assignment.items() if v != 0}
@@ -495,32 +499,26 @@ class TestBuildCertificate:
 
     def test_star_cflow_witness(self):
         star = Graph.build(4, [(0, 1), (0, 2), (0, 3)])
-        cert = build_certificate(star, range(4), Connectivity.CFLOW, k=4)
+        cert = build_certificate(star, range(4), Connectivity.CFLOW)
         assert cert.source == 0
         nonzero = {k: v for k, v in cert.assignment.items() if v != 0}
         assert nonzero == {"s_0": 1, "fd_0_1": 1, "fd_0_2": 1, "fd_0_3": 1}
 
     def test_disconnected_reported(self, path3):
         assert (
-            build_certificate(path3, (0, 2), Connectivity.CSTREE, u=3)
+            build_certificate(path3, (0, 2), Connectivity.CSTREE)
             == DISCONNECTED
         )
         assert (
-            build_certificate(path3, (0, 2), Connectivity.CFLOW, k=2)
+            build_certificate(path3, (0, 2), Connectivity.CFLOW)
             == DISCONNECTED
         )
 
     def test_parameter_validation(self, path3):
-        with pytest.raises(FormulationError, match="needs u"):
-            build_certificate(path3, (0, 1), Connectivity.CSTREE)
-        with pytest.raises(FormulationError, match="smaller than"):
-            build_certificate(path3, (0, 1, 2), Connectivity.CSTREE, u=2)
-        with pytest.raises(FormulationError, match="does not match"):
-            build_certificate(path3, (0, 1), Connectivity.CFLOW, k=3)
         with pytest.raises(FormulationError, match="empty"):
-            build_certificate(path3, (), Connectivity.CSTREE, u=3)
+            build_certificate(path3, (), Connectivity.CSTREE)
         with pytest.raises(FormulationError, match="no certificate form"):
-            build_certificate(path3, (0, 1), Connectivity.MPR, u=3)
+            build_certificate(path3, (0, 1), Connectivity.MPR)
 
     @given(graphs(min_n=1, max_n=7), st.data())
     @settings(max_examples=60, deadline=None)
@@ -529,10 +527,8 @@ class TestBuildCertificate:
             st.lists(st.integers(0, g.n - 1), unique=True, min_size=1),
             label="members",
         )
-        model, layout = add_cstree(
-            *build_f3(g, Fraction(1, 100), 1, g.n), g, g.n
-        )
-        cert = build_certificate(g, members, Connectivity.CSTREE, u=g.n)
+        model, layout = add_cstree(*build_f3(g, Fraction(1, 100), 1, g.n), g)
+        cert = build_certificate(g, members, Connectivity.CSTREE)
         if not is_connected(g, members):
             assert cert == DISCONNECTED
             return
@@ -549,8 +545,8 @@ class TestBuildCertificate:
             st.lists(st.integers(0, g.n - 1), unique=True, min_size=2),
             label="members",
         )
-        model, layout = add_cflow(*build_m1(g, len(members)), g, len(members))
-        cert = build_certificate(g, members, Connectivity.CFLOW, k=len(members))
+        model, layout = add_cflow(*build_m1(g, len(members)), g)
+        cert = build_certificate(g, members, Connectivity.CFLOW)
         if not is_connected(g, members):
             assert cert == DISCONNECTED
             return
@@ -865,11 +861,9 @@ class TestModelText:
         base, _, addon = case.partition("+")
         if base == "m1":
             model, layout = build_m1(path3, 2)
-            size = 2
         else:
             model, layout = build_f3(path3, Fraction(1, 2), 1, 3)
-            size = 3
         if addon:
             add = {"cstree": add_cstree, "cflow": add_cflow, "mpr": add_mpr}[addon]
-            model, layout = add(model, layout, path3, size)
+            model, layout = add(model, layout, path3)
         assert export_lp(model) == PATH3_LP[case]

@@ -341,16 +341,15 @@ class TestLargestComponent:
 class TestOrientedArcs:
     def test_unrooted_count(self, triangle):
         arcs = oriented_arcs(triangle)
-        assert len(arcs.arcs) == 2 * triangle.m
-        assert arcs.root is None
+        assert len(arcs) == 2 * triangle.m
+        assert all(a < triangle.n for a, _ in arcs)
 
     def test_rooted_count_and_sentinel(self, triangle):
         arcs = oriented_arcs(triangle, rooted=True)
-        assert len(arcs.arcs) == 2 * triangle.m + triangle.n
-        assert arcs.root == triangle.n
-        root_arcs = [a for a in arcs.arcs if a[0] == arcs.root]
+        assert len(arcs) == 2 * triangle.m + triangle.n
+        root_arcs = [a for a in arcs if a[0] == triangle.n]
         assert root_arcs == [(3, 0), (3, 1), (3, 2)]
 
     def test_edge_arcs_paired(self, path3):
         arcs = oriented_arcs(path3)
-        assert arcs.arcs == ((0, 1), (1, 0), (1, 2), (2, 1))
+        assert arcs == ((0, 1), (1, 0), (1, 2), (2, 1))

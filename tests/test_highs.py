@@ -53,7 +53,7 @@ class TestSolveModel:
 
     def test_spanning_rows_force_connectivity(self, two_k4s):
         model, layout = build_m1(two_k4s, 8)
-        model, layout = add_cstree(model, layout, two_k4s, 8)
+        model, layout = add_cstree(model, layout, two_k4s)
         status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL
         assert abs(model.evaluate(assignment, tol=TOL).objective - 10) <= TOL
@@ -63,7 +63,7 @@ class TestSolveModel:
         gamma = Fraction(3, 7)
         lower, upper = default_bounds(two_k4s, gamma)
         model, layout = build_f3(two_k4s, gamma, lower, upper)
-        model, layout = add_mpr(model, layout, two_k4s, upper)
+        model, layout = add_mpr(model, layout, two_k4s)
         status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL
         chosen = selected_vertices(layout, assignment)
@@ -79,7 +79,7 @@ class TestSolveModel:
 
     def test_tiny_time_limit(self, two_k4s):
         model, layout = build_m1(two_k4s, 8)
-        model, _ = add_cstree(model, layout, two_k4s, 8)
+        model, _ = add_cstree(model, layout, two_k4s)
         status, _, _ = solve_model(model, time_limit=1e-9)
         assert status is SolveStatus.TIME_LIMIT
 
@@ -130,6 +130,6 @@ class TestCommandLine:
 
     def test_time_limit_marker(self, tmp_path, two_k4s):
         model, layout = build_m1(two_k4s, 8)
-        model, _ = add_cstree(model, layout, two_k4s, 8)
+        model, _ = add_cstree(model, layout, two_k4s)
         text = self.run(tmp_path, model, "lp", timelimit=1e-9)
         assert text.split()[0] == "TIMELIMIT"

@@ -500,6 +500,13 @@ class TestParseLpDialect:
         assert model.constraints[1].terms == {"x": 1, "y": -1}
         assert model.constraints[1].rhs == -1
 
+    def test_unnamed_row_avoids_given_names(self):
+        model = parse_lp(lp_model_text(" x <= 1\n r0: x <= 2\n x <= 3\n r2_: x <= 4"))
+        assert [c.tag for c in model.constraints] == ["r0_", "r0", "r2", "r2_"]
+        assert [c.rhs for c in model.constraints] == [1, 2, 3, 4]
+        model = parse_lp(lp_model_text(" x <= 1\n r0: x <= 2\n r0_: x <= 3"))
+        assert [c.tag for c in model.constraints] == ["r0__", "r0", "r0_"]
+
     def test_minimize_rejected(self):
         with pytest.raises(FormatError, match="maximization"):
             parse_lp("Minimize\n obj: x\nSubject To\nEnd\n")
@@ -664,6 +671,25 @@ class TestReaderContract:
                 mps_model_text(" L c\n G c", "    x  c  1"),
                 "line 7: duplicate row 'c'",
                 id="mps-duplicate-rows-line",
+            ),
+            pytest.param(
+                parse_mps,
+                " x obj 1\n" + mps_model_text(" L c", "    x  c  1"),
+                "line 1: data before the first section header",
+                id="mps-data-before-header",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L obj", "    x  obj  1"),
+                "line 6: duplicate row 'obj'",
+                id="mps-row-named-like-objective",
+            ),
+            pytest.param(
+                parse_mps,
+                "NAME m\nOBJSENSE\n    MAX\nROWS\n L obj\n N obj\n"
+                "COLUMNS\n    x  obj  1\nENDATA\n",
+                "line 6: duplicate row 'obj'",
+                id="mps-objective-named-like-row",
             ),
             pytest.param(
                 parse_lp,
