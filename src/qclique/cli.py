@@ -212,21 +212,23 @@ def cmd_grid(args) -> int:
     return EXIT_SOLVED
 
 
-def _parse_vertices(text: str) -> list[int]:
+def _parse_vertices(g: Graph, text: str) -> tuple[int, ...]:
+    """The vertices named by a list of labels, as solve prints them."""
     tokens = [tok for tok in re.split(r"[,\s]+", text.strip()) if tok]
     if not tokens:
         raise CliError("empty vertex list")
+    ids = {g.label(v): v for v in range(g.n)}
     try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise CliError(f"vertex list must be integers, got {text!r}") from None
+        return check_vertex_set(g, [ids[tok] for tok in tokens])
+    except KeyError as exc:
+        raise CliError(f"no vertex is labelled {exc.args[0]!r}") from None
 
 
 def cmd_verify(args) -> int:
     g = load_graph(args.instance)
     mode = Connectivity(args.mode)
     spec = _problem_spec(args, mode)
-    vertices = check_vertex_set(g, _parse_vertices(args.vertices))
+    vertices = _parse_vertices(g, args.vertices)
     dens = density(g, vertices)
     print(f"density {dens}")
     if spec.problem is Problem.MQC:
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="check a vertex set")
     verify.add_argument("instance")
     verify.add_argument(
-        "--vertices", required=True, help="comma- or space-separated vertex ids"
+        "--vertices", required=True, help="comma- or space-separated vertex labels"
     )
     _add_spec_flags(verify)
     verify.set_defaults(run=cmd_verify)

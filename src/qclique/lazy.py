@@ -1,13 +1,13 @@
 """Connectivity by cut separation for the fixed-cardinality problem.
 
-The loop solves the unrestricted edge-count model, and whenever the answer
-comes back disconnected, adds one neighborhood inequality per vertex of
-each small fragment (a selected fragment vertex demands a selected fragment
-neighbor) and re-solves with the accumulated pool. A disconnected answer
-always violates at least one of its own cuts, so every round strictly
-shrinks the candidate space and the loop terminates.
+The loop builds the unrestricted edge-count model once and solves it, and
+whenever the answer comes back disconnected, adds one neighborhood
+inequality per vertex of each small fragment (a selected fragment vertex
+demands a selected fragment neighbor) to that model and re-solves. A
+disconnected answer always violates at least one of its own cuts, so every
+round strictly shrinks the candidate space and the loop terminates.
 
-Two interchangeable inner optimizers read the pooled cuts: "milp" solves
+Two interchangeable inner optimizers read the added cuts: "milp" solves
 the built model with the bundled HiGHS engine, and a BackendConfig routes
 it to an external solver process. The combinatorial engines take no cut
 rows; they solve the LAZY mode like any other connected mode.
@@ -26,9 +26,9 @@ from .backend import (
     solve_external,
     solve_in_process,
 )
-from .formulations import ProblemSpec, build_m1, lazy_cuts
+from .formulations import ProblemSpec, VariableLayout, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
-from .milp import LinearConstraint
+from .milp import LinearModel
 from .solve import Limits, Solution, SolveStatus
 
 logger = logging.getLogger(__name__)
@@ -56,7 +56,8 @@ def solve_lazy(
     spec = ProblemSpec.dks(k)
     spec.validate_for(g)
     start = time.monotonic()
-    pool: dict[str, LinearConstraint] = {}
+    model, layout = build_m1(g, k)
+    pooled: set[str] = set()
     rounds = 0
     nodes = 0
 
@@ -78,7 +79,7 @@ def solve_lazy(
             remaining = limits.time_seconds - (time.monotonic() - start)
             if remaining <= 0:
                 return finish((), 0, SolveStatus.TIME_LIMIT)
-        status, members, inner_nodes = _solve_inner(g, k, pool, engine, remaining)
+        status, members, inner_nodes = _solve_inner(model, layout, engine, remaining)
         nodes += inner_nodes
         if status is SolveStatus.INFEASIBLE:
             return finish((), 0, SolveStatus.INFEASIBLE)
@@ -88,35 +89,32 @@ def solve_lazy(
             return finish((), 0, status)
         if is_connected(g, members):
             return finish(members, induced_edge_count(g, members), SolveStatus.OPTIMAL)
-        fresh = [cut for cut in lazy_cuts(g, members, k) if cut.tag not in pool]
+        fresh = [cut for cut in lazy_cuts(g, members, k) if cut.tag not in pooled]
         if not fresh:
             raise AssertionError(
                 "separation made no progress on a disconnected solution"
             )
         for cut in fresh:
-            pool[cut.tag] = cut
+            model.add_constraint(cut.terms, cut.sense, cut.rhs, tag=cut.tag)
+            pooled.add(cut.tag)
         logger.info(
             "round %d: %s is disconnected; adding %d cuts (%d pooled)",
             rounds,
             members,
             len(fresh),
-            len(pool),
+            len(pooled),
         )
         rounds += 1
 
 
 def _solve_inner(
-    g: Graph,
-    k: int,
-    pool: dict[str, LinearConstraint],
+    model: LinearModel,
+    layout: VariableLayout,
     engine: str | BackendConfig,
     remaining: float | None,
 ) -> tuple[SolveStatus, tuple[int, ...], int]:
-    """One full solve of the edge-count model plus pooled cuts, within the
+    """One full solve of the model with the cuts added so far, within the
     time the rounds have left."""
-    model, layout = build_m1(g, k)
-    for cut in pool.values():
-        model.add_constraint(cut.terms, cut.sense, cut.rhs, tag=cut.tag)
     if engine == "milp":
         return solve_in_process(model, layout, remaining)
     cfg = engine
@@ -126,4 +124,3 @@ def _solve_inner(
     if result.assignment is None:
         return result.status, (), result.nodes
     return result.status, extract_vertex_set(layout, result.assignment), result.nodes
-

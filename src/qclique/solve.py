@@ -98,7 +98,9 @@ class _LimitHit(Exception):
 
 
 class _Budget:
-    """Time/memory watchdog, polled every few hundred solver nodes."""
+    """Time/memory watchdog, polled every few hundred solver nodes. Only a
+    poll that passes re-arms it: once spent, it stops every later search on
+    it at its first node."""
 
     _POLL = 512
 
@@ -114,7 +116,6 @@ class _Budget:
         self._countdown -= 1
         if self._countdown > 0:
             return
-        self._countdown = self._POLL
         if (
             self.limits.time_seconds is not None
             and self.elapsed() > self.limits.time_seconds
@@ -125,6 +126,7 @@ class _Budget:
             and _resident_bytes() > self.limits.memory_bytes
         ):
             raise _LimitHit(SolveStatus.MEMORY_LIMIT)
+        self._countdown = self._POLL
 
 
 def _resident_bytes() -> int:
@@ -368,30 +370,48 @@ def branch_and_bound(
 ) -> Solution:
     """Exact solver over include/exclude decisions with admissible bounds.
 
-    A fixed-cardinality cell is one search from the greedy warm start, or
-    two for a connected cell without a ceiling (_connected_dense_k), and a
-    density-threshold cell a run of searches (_quasi_clique), all within one
-    budget. The cell ends as optimal once its incumbent reaches
+    A cell is one pass of _cell within one budget, for MQC and DKS alike. A
+    connected cell without limits.ceiling first runs a pass without
+    connectivity: a connected answer stands; else the connected pass runs,
+    stopped at the first pass's optimum, a proven ceiling (a cut-short pass
+    proves none). The cell ends as optimal once its incumbent reaches
     limits.ceiling, a proven upper bound; an incumbent above it raises
-    SolveError. A limit returns the best set so far with its status.
+    SolveError. A limit returns the best set so far with its status; the
+    budget stays spent, so after a cut-short first pass the connected pass
+    stops at once and answers with its connected warm start.
     """
     spec.validate_for(g)
     budget = _Budget(limits)
     ceiling = limits.ceiling
-    if spec.problem is Problem.MQC:
-        solution = _quasi_clique(g, spec.gamma, spec.connected, budget, ceiling)
-    elif spec.connected and ceiling is None:
-        solution = _connected_dense_k(g, spec.k, budget)
-    else:
-        warm = _warm_fixed(g, spec.k, spec.connected)
-        solution = search(g, spec.k, spec.connected, budget, warm, ceiling)
+    top, nodes = ceiling, 0
+    if spec.connected and ceiling is None:
+        free = _cell(g, spec, False, budget, None)
+        if is_connected(g, free.vertices):
+            return replace(free, elapsed=budget.elapsed())
+        if free.status is SolveStatus.OPTIMAL:
+            top = free.objective
+        nodes = free.nodes_explored
+    solution = _cell(g, spec, spec.connected, budget, top)
     if ceiling is not None and solution.objective > ceiling:
         raise SolveError(f"incumbent {solution.objective} exceeds the ceiling {ceiling}")
-    return replace(solution, elapsed=budget.elapsed())
+    return replace(
+        solution,
+        elapsed=budget.elapsed(),
+        nodes_explored=nodes + solution.nodes_explored,
+    )
+
+
+def _cell(
+    g: Graph, spec: ProblemSpec, connected: bool, budget: _Budget, top: int | None
+) -> Solution:
+    """One pass of a cell, connected or not, stopped at top if given."""
+    if spec.problem is Problem.MQC:
+        return _quasi_clique(g, spec.gamma, connected, budget, top)
+    return search(g, spec.k, connected, budget, _warm_fixed(g, spec.k, connected), top)
 
 
 def _quasi_clique(
-    g: Graph, gamma: Fraction, connected: bool, budget: _Budget, ceiling: int | None
+    g: Graph, gamma: Fraction, connected: bool, budget: _Budget, top: int | None
 ) -> Solution:
     """The largest set that meets gamma (connected if asked), by decisions.
 
@@ -401,16 +421,15 @@ def _quasi_clique(
     density, so a set meeting gamma on t + 1 vertices holds one on t
     (Pattillo, Youssef & Butenko, EJOR 2013): going up from the warm start,
     the first t that fails proves t - 1 optimal. Connectivity breaks this,
-    so the connected flavor scans down from the ceiling, or else from the
-    optimum without connectivity, whose set answers if connected; the
-    first t that succeeds is optimal, and if none does the warm start is.
-    No decision goes above the ceiling or n.
+    so the connected flavor scans down from top; the first t that succeeds
+    is optimal, and if none does the warm start is. No decision goes above
+    top or n.
     """
     num, den = gamma.numerator, gamma.denominator
     nodes = 0
     status = SolveStatus.OPTIMAL
 
-    def decide(t: int, connected: bool) -> tuple[int, ...]:
+    def decide(t: int) -> tuple[int, ...]:
         """A t-set with need(t) edges, or () if none or a limit hit first."""
         nonlocal nodes, status
         need = -(-num * t * (t - 1) // (2 * den))
@@ -420,41 +439,20 @@ def _quasi_clique(
             status = found.status
         return found.vertices
 
-    top = g.n if ceiling is None else min(ceiling, g.n)
-    if not connected or ceiling is None:
-        best, members = _warm_threshold(g, gamma, False)
+    top = g.n if top is None else min(top, g.n)
+    best, members = _warm_threshold(g, gamma, connected)
+    if connected:
+        while top > best and status is SolveStatus.OPTIMAL:
+            if found := decide(top):
+                best, members = top, found
+            top -= 1
+    else:
         while best < top and status is SolveStatus.OPTIMAL:
-            found = decide(best + 1, False)
+            found = decide(best + 1)
             if not found:
                 break
             best, members = best + 1, found
-        if not connected or is_connected(g, members):
-            return Solution(members, best, status, nodes_explored=nodes)
-        top = best
-    best, members = _warm_threshold(g, gamma, True)
-    while top > best and status is SolveStatus.OPTIMAL:
-        if found := decide(top, True):
-            best, members = top, found
-        top -= 1
     return Solution(members, best, status, nodes_explored=nodes)
-
-
-def _connected_dense_k(g: Graph, k: int, budget: _Budget) -> Solution:
-    """The densest connected k-set: the densest k-set if it is connected,
-    else the connected search stopped at that set's edge count, a proven
-    ceiling. Both start from their greedy warm start; a limit in the first
-    search answers with the connected one, never a disconnected set.
-    """
-    free = search(g, k, False, budget, _warm_fixed(g, k, False))
-    if free.status is SolveStatus.OPTIMAL and is_connected(g, free.vertices):
-        return free
-    warm = _warm_fixed(g, k, True)
-    if free.status is SolveStatus.OPTIMAL:
-        found = search(g, k, True, budget, warm, free.objective)
-    else:
-        edges, members = warm
-        found = Solution(members or (), max(edges, 0), free.status)
-    return replace(found, nodes_explored=free.nodes_explored + found.nodes_explored)
 
 
 def completion_bound(weights: Sequence[int], size: int, edges: int, take: int) -> int:

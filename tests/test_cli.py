@@ -481,6 +481,24 @@ class TestVerify:
         assert main(["verify", path, "--vertices", " ", "--k", "2"]) == EXIT_INPUT
         capsys.readouterr()
 
+    def test_reads_the_labels_solve_prints(self, tmp_path, capsys):
+        # MatrixMarket labels are 1-based: vertex 0 is labelled "1".
+        path = tmp_path / "t.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern symmetric\n"
+            "4 4 4\n2 1\n3 1\n3 2\n4 3\n",
+            encoding="utf-8",
+        )
+        assert main(["solve", str(path), "--k", "3"]) == EXIT_SOLVED
+        out = capsys.readouterr().out
+        assert "vertices: 1 2 3" in out
+        assert "density: 1 " in out
+        assert main(["verify", str(path), "--k", "3", "--vertices", "1,2,3"]) == EXIT_SOLVED
+        out = capsys.readouterr().out
+        assert "density 1\n" in out
+        assert main(["verify", str(path), "--k", "3", "--vertices", "0,1,2"]) == EXIT_INPUT
+        assert "no vertex is labelled '0'" in capsys.readouterr().err
+
 
 class TestEmit:
     def test_both_formats(self, tmp_path, capsys, triangle):

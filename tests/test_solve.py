@@ -677,8 +677,9 @@ def test_lazy_probe_cell():
 
 def test_lazy_round_cut_short_keeps_its_warm_start():
     # The densest 10-set of the probe graph takes minutes to prove; the
-    # search without connectivity ends at the budget's first poll, so the
-    # cell answers with the connected greedy 10-set's 21 edges.
+    # search without connectivity ends at the budget's first poll, still
+    # holding its greedy 10-set of 21 edges. That set is connected, so it
+    # stands as the cell's answer.
     g = _probe_graph()
     spec = ProblemSpec.dks(10, mode=Connectivity.LAZY)
     solution = solve_problem(g, spec, "bnb", Limits(time_seconds=1e-3))
@@ -686,6 +687,46 @@ def test_lazy_round_cut_short_keeps_its_warm_start():
     assert solution.objective >= 21
     assert len(solution.vertices) == 10 and is_connected(g, solution.vertices)
     assert induced_edge_count(g, solution.vertices) == solution.objective
+
+
+def _sparse_instance() -> tuple[Graph, int]:
+    """G(n, p) with n, p and k drawn from seed 0: n = 32, m = 117, k = 7."""
+    rng = random.Random(0)
+    n = rng.randint(20, 40)
+    p = rng.uniform(0.1, 0.3)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    k = rng.randint(6, 14)
+    g = Graph.build(n, edges)
+    assert (g.n, g.m, k) == (32, 117, 7)
+    return g, k
+
+
+def test_connected_cell_cut_short_keeps_the_free_pass_set():
+    # The pass without connectivity ends at the first poll holding a
+    # connected 7-set of 15 edges; the connected greedy 7-set has 14. A
+    # limit returns the best set so far, so the 15-edge set answers.
+    g, k = _sparse_instance()
+    spec = ProblemSpec.dks(k, mode=Connectivity.CSTREE)
+    solution = branch_and_bound(g, spec, Limits(time_seconds=1e-9))
+    assert solution.status is SolveStatus.TIME_LIMIT
+    assert len(solution.vertices) == k and is_connected(g, solution.vertices)
+    assert solution.objective == induced_edge_count(g, solution.vertices) == 15
+    assert _warm_fixed(g, k, True)[0] == 14
+
+
+def test_spent_budget_stays_spent():
+    # Only a poll that passes re-arms the countdown, so a search after a
+    # limit hit polls at its first node and keeps its incumbent.
+    g, k = _sparse_instance()
+    budget = _Budget(Limits(time_seconds=1e-9))
+    first = search(g, k, False, budget, _warm_fixed(g, k, False))
+    assert first.status is SolveStatus.TIME_LIMIT
+    assert first.nodes_explored == 512
+    warm = _warm_fixed(g, k, True)
+    second = search(g, k, True, budget, warm)
+    assert second.status is SolveStatus.TIME_LIMIT
+    assert second.nodes_explored == 1
+    assert (second.objective, second.vertices) == warm
 
 
 def _hard_instance() -> tuple[Graph, ProblemSpec]:
