@@ -22,7 +22,6 @@ from .formulations import (
     Problem,
     ProblemSpec,
     build_certificate,
-    indicator_assignment,
 )
 from .graphs import (
     Graph,
@@ -130,18 +129,16 @@ def _certificate_line(g: Graph, vertices: tuple[int, ...]) -> str:
     """Re-verify a vertex set by building and checking a spanning witness."""
     if not vertices:
         return "certificate: none (empty set)"
-    if not is_connected(g, vertices):
-        return "certificate: none (disconnected)"
     size = len(vertices)
     if size == 1:
         spec = ProblemSpec.mqc(1, mode=Connectivity.CSTREE)
     else:
         spec = ProblemSpec.dks(size, mode=Connectivity.CSTREE)
     model, layout = build_problem_model(g, spec)
-    witness = build_certificate(g, vertices, Connectivity.CSTREE)
-    assignment = dict(indicator_assignment(layout, vertices))
-    assignment.update(witness.assignment)
-    report = model.evaluate(assignment)
+    point = build_certificate(layout, g, vertices)
+    if point is None:
+        return "certificate: none (disconnected)"
+    report = model.evaluate(point)
     if report.feasible and report.integral:
         return "certificate: verified"
     return "certificate: FAILED"
@@ -277,11 +274,24 @@ def cmd_emit(args) -> int:
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gamma", help="density threshold, e.g. 0.5 or 3/7")
     parser.add_argument("--k", type=int, help="target cardinality")
+    _add_mode_flag(parser)
+
+
+def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--mode",
         choices=[m.value for m in Connectivity],
         default=Connectivity.NONE.value,
         help="connectivity handling (default: none)",
+    )
+
+
+def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--engine",
+        choices=ENGINE_CHOICES,
+        default="bnb",
+        help="optimizer (default: bnb)",
     )
 
 
@@ -314,12 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser("solve", help="solve one instance")
     solve.add_argument("instance")
     _add_spec_flags(solve)
-    solve.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        default="bnb",
-        help="optimizer (default: bnb)",
-    )
+    _add_engine_flag(solve)
     _add_limit_flags(solve)
     solve.add_argument(
         "--certify",
@@ -333,16 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument(
         "--family", choices=[p.value for p in Problem], required=True
     )
-    grid.add_argument(
-        "--mode",
-        choices=[m.value for m in Connectivity],
-        default=Connectivity.NONE.value,
-    )
-    grid.add_argument(
-        "--engine",
-        choices=ENGINE_CHOICES,
-        default="bnb",
-    )
+    _add_mode_flag(grid)
+    _add_engine_flag(grid)
     _add_limit_flags(grid)
     grid.add_argument("--workers", type=int, default=1)
     grid.add_argument("--csv", metavar="PATH", help="cell CSV (resumable)")

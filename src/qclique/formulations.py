@@ -25,9 +25,13 @@ Four add-on families force the selected set to be connected:
 Each add-on takes (model, layout, g) and reads its size constant from the
 layout: the threshold model's upper size bound, or the fixed cardinality k.
 
-build_certificate constructs an explicit witness assignment for the tree and
-flow families on a given connected vertex set, so connectivity claims can be
-re-verified through LinearModel.evaluate alone.
+The layout is the one source of variable names: only _base, build_f3 and
+the add_* builders make names, and everything that completes a built model
+reads them from its layout. build_certificate(layout, g, s) turns a
+connected vertex set into a full point of a tree or flow model, so
+connectivity claims can be re-verified through LinearModel.evaluate alone;
+lazy_cuts(layout, g, s) reads the x names and k of a fixed-cardinality
+model.
 
 Constraint tags follow the fixed scheme "Eq<family>:<entity>" (for example
 "Eq1b:e=0_2"), which downstream tooling relies on for cut deduplication and
@@ -171,42 +175,27 @@ class VariableLayout:
     """Maps graph entities to the variable names of one built model.
 
     x is indexed by vertex, y by edge (i, j) with i < j, z (threshold model
-    only) by admissible cardinality. The connectivity fields are filled by
-    the add_* builders: source holds the per-vertex source/anchor indicator
-    names, edge_flow the signed per-edge flows (oriented by i < j), arc_use
-    and arc_flow the per-arc binaries and nonnegative flows (arc keys may use
-    the artificial root id, which is the vertex count).
+    only) by admissible cardinality. k (fixed-cardinality model) and bounds
+    (threshold model) are the size constants the add-ons read; the threshold
+    itself lives in the model's metadata and its density row. The
+    connectivity fields are filled by the add_* builders: source holds the
+    per-vertex source indicator names (mpr and cflow), arc_use (cstree) and
+    arc_flow (cstree and cflow) the per-arc binaries and nonnegative flows
+    (arc keys may use the artificial root id, which is the vertex count).
+    The signed edge flows of mpr get no field: nothing completes them.
     """
 
     graph_fingerprint: str
     kind: str  # "m1" | "f3"
     k: int | None
-    gamma: Fraction | None
     bounds: tuple[int, int] | None
     x: tuple[str, ...]
     y: Mapping[tuple[int, int], str]
     z: Mapping[int, str] | None
     connectivity: Connectivity = Connectivity.NONE
     source: Mapping[int, str] | None = None
-    edge_flow: Mapping[tuple[int, int], str] | None = None
     arc_use: Mapping[tuple[int, int], str] | None = None
     arc_flow: Mapping[tuple[int, int], str] | None = None
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Witness assignment for the connectivity variables of one mode.
-
-    Merging `assignment` with the base indicator assignment of the certified
-    vertex set yields a point that evaluate() accepts on the full model.
-    """
-
-    mode: Connectivity
-    source: int
-    assignment: Mapping[str, int]
-
-
-DISCONNECTED = "disconnected"
 
 
 def _edge_upper_bound(count: int) -> int:
@@ -265,7 +254,6 @@ def build_m1(g: Graph, k: int) -> tuple[LinearModel, VariableLayout]:
         graph_fingerprint=g.fingerprint(),
         kind="m1",
         k=k,
-        gamma=None,
         bounds=None,
         x=x,
         y=y,
@@ -322,7 +310,6 @@ def build_f3(
         graph_fingerprint=g.fingerprint(),
         kind="f3",
         k=None,
-        gamma=gamma,
         bounds=(lower, upper),
         x=x,
         y=y,
@@ -358,6 +345,10 @@ def _require_base(
         raise FormulationError(
             f"{op} requires a {' or '.join(kinds)} model, got {layout.kind}"
         )
+    _require_graph(layout, g, op)
+
+
+def _require_graph(layout: VariableLayout, g: Graph, op: str) -> None:
     if layout.graph_fingerprint != g.fingerprint():
         raise FormulationError(f"{op}: model was built over a different graph")
 
@@ -415,13 +406,7 @@ def add_mpr(
         flow, y = edge_flow[(i, j)], layout.y[(i, j)]
         model.add_constraint({flow: 1, y: cap}, ">=", 0, f"Eq3g:e={i}_{j}")
         model.add_constraint({flow: 1, y: -cap}, "<=", 0, f"Eq3h:e={i}_{j}")
-    new_layout = replace(
-        layout,
-        connectivity=Connectivity.MPR,
-        source=source,
-        edge_flow=edge_flow,
-    )
-    return model, new_layout
+    return model, replace(layout, connectivity=Connectivity.MPR, source=source)
 
 
 def _arc_name(prefix: str, arc: tuple[int, int], root: int) -> str:
@@ -572,8 +557,11 @@ def add_cflow(
     return model, new_layout
 
 
-def lazy_cuts(g: Graph, s: Iterable[int], k: int) -> list[LinearConstraint]:
-    """Separation rows for a disconnected candidate selection.
+def lazy_cuts(
+    layout: VariableLayout, g: Graph, s: Iterable[int]
+) -> list[LinearConstraint]:
+    """Separation rows of a fixed-cardinality model for a disconnected
+    candidate selection.
 
     For each connected fragment C of the selection with |C| < k, and each
     vertex j in C, emit: sum of x over C's outside neighbors >= x_j. Any
@@ -582,101 +570,80 @@ def lazy_cuts(g: Graph, s: Iterable[int], k: int) -> list[LinearConstraint]:
     entirely inside one, and a cut built from it would wrongly exclude that
     set. When the candidate has exactly k vertices (the only case the solve
     loop produces), every fragment of a disconnected candidate is smaller
-    than k, so nothing is skipped. Returns [] iff the selection is connected.
+    than k, so nothing is skipped. The x names and k are the layout's.
+    Returns [] iff the selection is connected.
     """
-    members = check_vertex_set(g, s)
-    if isinstance(k, bool) or not isinstance(k, int) or k < 2:
-        raise FormulationError(f"k must be an integer >= 2, got {k!r}")
-    parts = components(g, members)
+    if layout.kind != "m1":
+        raise FormulationError(f"lazy_cuts requires a m1 model, got {layout.kind}")
+    parts = components(g, check_vertex_set(g, s))
     if len(parts) <= 1:
         return []
+    x = layout.x
     cuts: list[LinearConstraint] = []
     for part in parts:
-        if len(part) >= k:
+        if len(part) >= layout.k:
             continue
-        outside = boundary_neighbors(g, part)
-        lhs = {f"x_{i}": 1 for i in outside}
+        lhs = {x[i]: 1 for i in boundary_neighbors(g, part)}
         label = ".".join(str(v) for v in part)
         for j in part:
-            terms = dict(lhs)
-            terms[f"x_{j}"] = terms.get(f"x_{j}", 0) - 1
-            cuts.append(LinearConstraint(terms, ">=", 0, f"Eq4a:C={label}:j={j}"))
+            cuts.append(
+                LinearConstraint({**lhs, x[j]: -1}, ">=", 0, f"Eq4a:C={label}:j={j}")
+            )
     return cuts
 
 
-def _bfs_tree(g: Graph, members: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-    """Deterministic spanning tree of a connected selection.
-
-    Returns (source, parent map); the source is the smallest member, children
-    are discovered in ascending neighbor order.
-    """
+def _tree_arcs(g: Graph, members: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """The arcs of a deterministic spanning tree of a connected selection,
+    each with the size of the subtree it feeds. The tree is grown breadth
+    first from the smallest member, neighbors in ascending order; in reverse
+    discovery order every child is finished before its parent gathers it."""
     inside = set(members)
-    source = members[0]
-    parent: dict[int, int] = {source: source}
-    queue = [source]
-    while queue:
-        vertex = queue.pop(0)
+    parent = {members[0]: members[0]}
+    order = [members[0]]
+    for vertex in order:
         for nxt in g.neighbors[vertex]:
             if nxt in inside and nxt not in parent:
                 parent[nxt] = vertex
-                queue.append(nxt)
-    return source, parent
-
-
-def _subtree_sizes(parent: dict[int, int], source: int) -> dict[int, int]:
-    """Each tree vertex's subtree size. parent is in BFS discovery order, so
-    in reverse every child is finished before its parent gathers it."""
-    sizes = {v: 1 for v in parent}
-    for v in reversed(parent):
-        if v != source:
-            sizes[parent[v]] += sizes[v]
-    return sizes
+                order.append(nxt)
+    sizes = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        sizes[parent[v]] += sizes[v]
+    return {(parent[v], v): sizes[v] for v in order[1:]}
 
 
 def build_certificate(
-    g: Graph, s: Iterable[int], mode: Connectivity
-) -> Certificate | str:
-    """Construct a connectivity witness, or report "disconnected".
+    layout: VariableLayout, g: Graph, s: Iterable[int]
+) -> dict[str, int] | None:
+    """The full model point of a connected vertex set, or None for a
+    disconnected one.
 
-    For a connected selection, builds a spanning tree from the smallest
-    member and returns the full assignment fragment over the mode's
-    connectivity variables (all of them, zeros included): tree arcs carry
-    their subtree sizes, the root/source ships the selection size. Whether
-    the selection fits a model's size bound or cardinality is left to
-    LinearModel.evaluate on that model.
+    The layout must carry cstree or cflow rows. The point is
+    indicator_assignment(layout, s) plus every connectivity variable of the
+    layout, zeros included: a spanning tree grown from the smallest member
+    carries subtree sizes on its arcs, and the root arc (cstree) or the
+    source (cflow) ships the selection size. Names come from the layout, so
+    the point's keys are exactly the model's variables. Whether the
+    selection fits the model's cardinality is left to LinearModel.evaluate.
     """
+    mode = layout.connectivity
+    if mode not in (Connectivity.CSTREE, Connectivity.CFLOW):
+        raise FormulationError(f"no certificate form for mode {mode.value}")
+    _require_graph(layout, g, "build_certificate")
     members = check_vertex_set(g, s)
     if not members:
         raise FormulationError("cannot certify an empty selection")
-    if mode not in (Connectivity.CSTREE, Connectivity.CFLOW):
-        raise FormulationError(f"no certificate form for mode {mode.value}")
     if not is_connected(g, members):
-        return DISCONNECTED
-    source, parent = _bfs_tree(g, members)
-    sizes = _subtree_sizes(parent, source)
-    assignment: dict[str, int] = {}
-    root = g.n
+        return None
+    point = indicator_assignment(layout, members)
+    tree = _tree_arcs(g, members)
+    source = members[0]
     if mode is Connectivity.CSTREE:
-        for arc in oriented_arcs(g, rooted=True):
-            assignment[_arc_name("v", arc, root)] = 0
-            assignment[_arc_name("fa", arc, root)] = 0
-        assignment[_arc_name("v", (root, source), root)] = 1
-        assignment[_arc_name("fa", (root, source), root)] = len(members)
-        for child, par in parent.items():
-            if child == source:
-                continue
-            assignment[_arc_name("v", (par, child), root)] = 1
-            assignment[_arc_name("fa", (par, child), root)] = sizes[child]
+        tree[(g.n, source)] = len(members)
+        point.update({name: int(arc in tree) for arc, name in layout.arc_use.items()})
     else:
-        for i in range(g.n):
-            assignment[f"s_{i}"] = int(i == source)
-        for arc in oriented_arcs(g, rooted=False):
-            assignment[_arc_name("fd", arc, root)] = 0
-        for child, par in parent.items():
-            if child == source:
-                continue
-            assignment[_arc_name("fd", (par, child), root)] = sizes[child]
-    return Certificate(mode=mode, source=source, assignment=assignment)
+        point.update({name: int(i == source) for i, name in layout.source.items()})
+    point.update({name: tree.get(arc, 0) for arc, name in layout.arc_flow.items()})
+    return point
 
 
 def indicator_assignment(layout: VariableLayout, s: Iterable[int]) -> dict[str, int]:
@@ -684,9 +651,17 @@ def indicator_assignment(layout: VariableLayout, s: Iterable[int]) -> dict[str, 
 
     x is the 0/1 indicator, each y_ij is the product of its endpoints, and
     the size indicator matching |s| is set when the layout has one (the size
-    must then lie within the layout's bounds).
+    must then lie within the layout's bounds). Ids outside the layout's
+    vertex range and repeated ids are refused.
     """
-    chosen = set(s)
+    members = sorted(s)
+    for v in members:
+        if not 0 <= v < len(layout.x):
+            raise FormulationError(f"vertex {v} out of range for n={len(layout.x)}")
+    for a, b in zip(members, members[1:]):
+        if a == b:
+            raise FormulationError(f"duplicate vertex {a} in set")
+    chosen = set(members)
     values: dict[str, int] = {}
     for i, name in enumerate(layout.x):
         values[name] = int(i in chosen)

@@ -89,7 +89,7 @@ def solve_lazy(
             return finish((), 0, status)
         if is_connected(g, members):
             return finish(members, induced_edge_count(g, members), SolveStatus.OPTIMAL)
-        fresh = [cut for cut in lazy_cuts(g, members, k) if cut.tag not in pooled]
+        fresh = [cut for cut in lazy_cuts(layout, g, members) if cut.tag not in pooled]
         if not fresh:
             raise AssertionError(
                 "separation made no progress on a disconnected solution"

@@ -28,7 +28,6 @@ from qclique.formulations import (
     build_f3,
     build_m1,
     default_bounds,
-    indicator_assignment,
 )
 from qclique.graphs import Graph, induced_edge_count, is_connected
 from qclique.grid import GridSpec, run_grid
@@ -129,11 +128,8 @@ def test_criterion_1_oracle_equivalence(announce):
     )
 
 
-def _certificate_feasible(model, layout, g, members, mode) -> bool:
-    witness = build_certificate(g, members, mode)
-    assignment = dict(indicator_assignment(layout, members))
-    assignment.update(witness.assignment)
-    report = model.evaluate(assignment)
+def _certificate_feasible(model, layout, g, members) -> bool:
+    report = model.evaluate(build_certificate(layout, g, members))
     return report.feasible and report.integral
 
 
@@ -156,18 +152,14 @@ def test_criterion_2_rows_satisfiable_iff_connected(announce):
                         model, layout = build_m1(g, size)
                     cache[("cstree", size)] = add_cstree(model, layout, g)
                 model, layout = cache[("cstree", size)]
-                if not _certificate_feasible(
-                    model, layout, g, members, Connectivity.CSTREE
-                ):
+                if not _certificate_feasible(model, layout, g, members):
                     problems.append(f"cstree witness rejected: {mask=} {members=}")
                 if size >= 2:
                     if ("cflow", size) not in cache:
                         model, layout = build_m1(g, size)
                         cache[("cflow", size)] = add_cflow(model, layout, g)
                     model, layout = cache[("cflow", size)]
-                    if not _certificate_feasible(
-                        model, layout, g, members, Connectivity.CFLOW
-                    ):
+                    if not _certificate_feasible(model, layout, g, members):
                         problems.append(
                             f"cflow witness rejected: {mask=} {members=}"
                         )

@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from qclique.formulations import (
-    Certificate,
     Connectivity,
-    DISCONNECTED,
     FormulationError,
     Problem,
     ProblemSpec,
@@ -317,10 +315,7 @@ class TestAddCstree:
 
     def test_works_on_cardinality_model_with_u_equal_k(self, path3):
         model, layout = add_cstree(*build_m1(path3, 2), path3)
-        cert = build_certificate(path3, (0, 1), Connectivity.CSTREE)
-        values = indicator_assignment(layout, (0, 1))
-        values.update(cert.assignment)
-        assert model.evaluate(values).feasible
+        assert model.evaluate(build_certificate(layout, path3, (0, 1))).feasible
 
     def test_constant_is_the_upper_size_bound(self, path3):
         model, _ = add_cstree(*build_f3(path3, Fraction(1), 1, 2), path3)
@@ -419,14 +414,18 @@ def two_triangles_bridge() -> Graph:
     )
 
 
+def m1_layout(g: Graph, k: int):
+    return build_m1(g, k)[1]
+
+
 class TestLazyCuts:
     def test_connected_selection_yields_nothing(self, path3):
-        assert lazy_cuts(path3, (0, 1, 2), 3) == []
-        assert lazy_cuts(path3, (1,), 2) == []
+        assert lazy_cuts(m1_layout(path3, 3), path3, (0, 1, 2)) == []
+        assert lazy_cuts(m1_layout(path3, 2), path3, (1,)) == []
 
     def test_bridge_example_cut_terms(self):
         g = two_triangles_bridge()
-        cuts = lazy_cuts(g, (0, 1, 2, 4, 5), 5)
+        cuts = lazy_cuts(m1_layout(g, 5), g, (0, 1, 2, 4, 5))
         by_tag = {c.tag: c for c in cuts}
         assert len(cuts) == 5
         assert by_tag["Eq4a:C=4.5:j=4"].terms == {
@@ -444,7 +443,7 @@ class TestLazyCuts:
 
     def test_singleton_components(self):
         g = Graph.build(5, [(0, 3), (1, 3), (2, 3)])
-        cuts = lazy_cuts(g, (0, 1, 2), 3)
+        cuts = lazy_cuts(m1_layout(g, 3), g, (0, 1, 2))
         assert len(cuts) == 3
         for cut in cuts:
             assert cut.sense == ">=" and cut.rhs == 0
@@ -453,7 +452,7 @@ class TestLazyCuts:
         g = Graph.build(4, [(0, 1), (2, 3)])
         # Vertex 2's fragment has no outside neighbors beyond 3, which is
         # inside; the cut says a connected 3-set cannot keep either.
-        cuts = lazy_cuts(g, (0, 2, 3), 3)
+        cuts = lazy_cuts(m1_layout(g, 3), g, (0, 2, 3))
         tags = {c.tag for c in cuts}
         assert "Eq4a:C=0:j=0" in tags
         assert "Eq4a:C=2.3:j=2" in tags
@@ -463,7 +462,12 @@ class TestLazyCuts:
         # have size >= k, and cutting either would exclude a connected
         # triangle, so nothing may be emitted.
         g = Graph.build(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-        assert lazy_cuts(g, range(6), 3) == []
+        assert lazy_cuts(m1_layout(g, 3), g, range(6)) == []
+
+    def test_requires_cardinality_model(self, path3):
+        _, layout = build_f3(path3, Fraction(1, 2), 1, 3)
+        with pytest.raises(FormulationError, match="requires a m1 model"):
+            lazy_cuts(layout, path3, (0, 2))
 
     @given(graphs(min_n=2, max_n=6), st.data())
     @settings(max_examples=60, deadline=None)
@@ -472,7 +476,7 @@ class TestLazyCuts:
             st.lists(st.integers(0, g.n - 1), unique=True, min_size=1), label="s"
         )
         k = data.draw(st.integers(2, g.n), label="k")
-        cuts = lazy_cuts(g, s, k)
+        cuts = lazy_cuts(m1_layout(g, k), g, s)
         for t in itertools.combinations(range(g.n), k):
             if not is_connected(g, t):
                 continue
@@ -482,13 +486,20 @@ class TestLazyCuts:
                 assert lhs >= cut.rhs, (cut.tag, t)
 
 
+def _nonzero(point):
+    return {name: value for name, value in point.items() if value != 0}
+
+
 class TestBuildCertificate:
     def test_path_cstree_witness_matches_expected(self, path3):
-        cert = build_certificate(path3, (0, 1, 2), Connectivity.CSTREE)
-        assert isinstance(cert, Certificate)
-        assert cert.source == 0
-        nonzero = {k: v for k, v in cert.assignment.items() if v != 0}
-        assert nonzero == {
+        _, layout = add_cstree(*build_m1(path3, 3), path3)
+        point = build_certificate(layout, path3, (0, 1, 2))
+        assert _nonzero(point) == {
+            "x_0": 1,
+            "x_1": 1,
+            "x_2": 1,
+            "y_0_1": 1,
+            "y_1_2": 1,
             "v_r_0": 1,
             "fa_r_0": 3,
             "v_0_1": 1,
@@ -499,26 +510,34 @@ class TestBuildCertificate:
 
     def test_star_cflow_witness(self):
         star = Graph.build(4, [(0, 1), (0, 2), (0, 3)])
-        cert = build_certificate(star, range(4), Connectivity.CFLOW)
-        assert cert.source == 0
-        nonzero = {k: v for k, v in cert.assignment.items() if v != 0}
-        assert nonzero == {"s_0": 1, "fd_0_1": 1, "fd_0_2": 1, "fd_0_3": 1}
+        _, layout = add_cflow(*build_m1(star, 4), star)
+        point = build_certificate(layout, star, range(4))
+        assert _nonzero(point) == {
+            **{f"x_{i}": 1 for i in range(4)},
+            **{f"y_0_{i}": 1 for i in (1, 2, 3)},
+            "s_0": 1,
+            "fd_0_1": 1,
+            "fd_0_2": 1,
+            "fd_0_3": 1,
+        }
 
     def test_disconnected_reported(self, path3):
-        assert (
-            build_certificate(path3, (0, 2), Connectivity.CSTREE)
-            == DISCONNECTED
-        )
-        assert (
-            build_certificate(path3, (0, 2), Connectivity.CFLOW)
-            == DISCONNECTED
-        )
+        for add in (add_cstree, add_cflow):
+            _, layout = add(*build_m1(path3, 2), path3)
+            assert build_certificate(layout, path3, (0, 2)) is None
 
     def test_parameter_validation(self, path3):
+        _, layout = add_cstree(*build_m1(path3, 2), path3)
         with pytest.raises(FormulationError, match="empty"):
-            build_certificate(path3, (), Connectivity.CSTREE)
+            build_certificate(layout, path3, ())
+        _, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3)
         with pytest.raises(FormulationError, match="no certificate form"):
-            build_certificate(path3, (0, 1), Connectivity.MPR)
+            build_certificate(layout, path3, (0, 1))
+
+    def test_refuses_a_layout_over_another_graph(self, path3, triangle):
+        _, layout = add_cstree(*build_m1(triangle, 2), triangle)
+        with pytest.raises(FormulationError, match="different graph"):
+            build_certificate(layout, path3, (0, 1))
 
     @given(graphs(min_n=1, max_n=7), st.data())
     @settings(max_examples=60, deadline=None)
@@ -528,13 +547,11 @@ class TestBuildCertificate:
             label="members",
         )
         model, layout = add_cstree(*build_f3(g, Fraction(1, 100), 1, g.n), g)
-        cert = build_certificate(g, members, Connectivity.CSTREE)
+        point = build_certificate(layout, g, members)
         if not is_connected(g, members):
-            assert cert == DISCONNECTED
+            assert point is None
             return
-        values = indicator_assignment(layout, members)
-        values.update(cert.assignment)
-        report = model.evaluate(values)
+        report = model.evaluate(point)
         assert report.feasible, report.violations
         assert report.integral
 
@@ -546,15 +563,34 @@ class TestBuildCertificate:
             label="members",
         )
         model, layout = add_cflow(*build_m1(g, len(members)), g)
-        cert = build_certificate(g, members, Connectivity.CFLOW)
+        point = build_certificate(layout, g, members)
         if not is_connected(g, members):
-            assert cert == DISCONNECTED
+            assert point is None
             return
-        values = indicator_assignment(layout, members)
-        values.update(cert.assignment)
-        report = model.evaluate(values)
+        report = model.evaluate(point)
         assert report.feasible, report.violations
         assert report.integral
+
+    @given(graphs(min_n=2, max_n=7), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_point_names_exactly_the_model_variables(self, g, data):
+        # evaluate() ignores names the model lacks, so only this catches a
+        # misnamed certificate variable.
+        members = data.draw(
+            st.lists(st.integers(0, g.n - 1), unique=True, min_size=2),
+            label="members",
+        )
+        k = len(members)
+        for model, layout in (
+            add_cstree(*build_f3(g, Fraction(1, 100), 1, g.n), g),
+            add_cstree(*build_m1(g, k), g),
+            add_cflow(*build_m1(g, k), g),
+        ):
+            point = build_certificate(layout, g, members)
+            if point is None:
+                assert not is_connected(g, members)
+                continue
+            assert set(point) == {var.name for var in model.variables}
 
 
 class TestOptimaThroughModels:
@@ -584,6 +620,19 @@ class TestOptimaThroughModels:
         _, layout = build_f3(path3, Fraction(1), 1, 2)
         with pytest.raises(FormulationError, match="outside the layout's bounds"):
             indicator_assignment(layout, (0, 1, 2))
+
+    def test_indicator_rejects_ids_outside_the_layout(self, path3):
+        _, layout = build_f3(path3, Fraction(1, 2), 1, 3)
+        with pytest.raises(FormulationError, match="out of range"):
+            indicator_assignment(layout, {7})
+        _, layout = build_m1(path3, 2)
+        with pytest.raises(FormulationError, match="out of range"):
+            indicator_assignment(layout, [-1, 1])
+
+    def test_indicator_rejects_repeated_ids(self, path3):
+        _, layout = build_m1(path3, 2)
+        with pytest.raises(FormulationError, match="duplicate vertex 1"):
+            indicator_assignment(layout, [1, 1])
 
 
 # The exact LP text of each builder and add-on on path3 (m1 at k=2, f3 at
