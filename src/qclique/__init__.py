@@ -17,7 +17,6 @@ from .backend import (
     BackendConfig,
     BackendError,
     BackendProcessError,
-    BackendResult,
     BackendValidationError,
     ModelFormat,
     extract_vertex_set,
@@ -81,7 +80,6 @@ __all__ = [
     "BackendConfig",
     "BackendError",
     "BackendProcessError",
-    "BackendResult",
     "BackendValidationError",
     "Connectivity",
     "FormatError",

@@ -12,8 +12,11 @@ the exact model within a fixed tolerance, and objectives are recomputed
 from the graph by callers. Validation failures and process failures are
 distinct errors so that a wrong answer is never mistaken for a crash.
 
-The engine registry (ENGINES, check_engine) and the in-process HiGHS route
-(solve_in_process) live here too.
+Both HiGHS routes, the solver process (solve_external) and the bundled
+engine in process (solve_in_process), take a built model, its layout and
+the cell's time limit, and answer (status, vertices, nodes): the vertex set
+of the checked assignment, empty without one. The engine registry
+(ENGINES, check_engine) lives here too.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 import shlex
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -87,16 +89,6 @@ class BackendConfig:
             raise BackendError(f"time limit must be positive and finite, got {limit!r}")
 
 
-@dataclass(frozen=True)
-class BackendResult:
-    """nodes is the count from an answer's "# nodes N" line; 0 without one."""
-
-    status: SolveStatus
-    assignment: dict[str, Exact] | None
-    elapsed: float
-    nodes: int = 0
-
-
 def _substitute(command: str, mapping: dict[str, str]) -> list[str]:
     tokens = shlex.split(command)
     if not tokens:
@@ -112,17 +104,21 @@ def _substitute(command: str, mapping: dict[str, str]) -> list[str]:
     return substituted
 
 
-def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
-    """Export the model, run the backend, and validate what it wrote.
+def solve_external(
+    model: LinearModel, layout, cfg: BackendConfig, time_limit: float | None = None
+) -> tuple[SolveStatus, tuple[int, ...], int]:
+    """Export the model, run the backend, and check what it wrote: (status,
+    vertices, nodes), as solve_in_process answers.
 
-    Returns OPTIMAL with the checked assignment, or INFEASIBLE / TIME_LIMIT
-    (assignment None) when the output file starts with the corresponding
-    marker or the process outlives its limit; an answer's leading "# nodes N"
-    line sets the result's node count. Raises BackendProcessError for crashes
-    and unusable files, BackendValidationError for assignments that violate
-    the model beyond the fixed tolerance.
+    The process gets the smaller of cfg.time_limit and time_limit, both as
+    {timelimit} and as the hard kill. OPTIMAL comes with the vertex set of
+    the checked assignment; INFEASIBLE and TIME_LIMIT, from a marker or a
+    kill, come with none. nodes is the N of an answer's leading "# nodes N"
+    line, 0 without one. Raises BackendProcessError for crashes and unusable
+    files, BackendValidationError for assignments that violate the model
+    beyond the fixed tolerance.
     """
-    start = time.monotonic()
+    limit = cfg.time_limit if time_limit is None else min(cfg.time_limit, time_limit)
     with tempfile.TemporaryDirectory(prefix="qclique-backend-") as scratch:
         model_path = Path(scratch) / f"model.{cfg.model_format.value}"
         if cfg.model_format is ModelFormat.MPS:
@@ -139,7 +135,7 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
             {
                 "model": str(model_path),
                 "solution": str(solution_path),
-                "timelimit": str(cfg.time_limit),
+                "timelimit": str(limit),
             },
         )
         # A file left from an earlier run must not pass for this run's answer.
@@ -148,13 +144,9 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
         except OSError as exc:
             raise BackendProcessError(f"cannot clear the solution path: {exc}") from None
         try:
-            run = subprocess.run(
-                argv, capture_output=True, text=True, timeout=cfg.time_limit
-            )
+            run = subprocess.run(argv, capture_output=True, text=True, timeout=limit)
         except subprocess.TimeoutExpired:
-            return BackendResult(
-                SolveStatus.TIME_LIMIT, None, time.monotonic() - start
-            )
+            return SolveStatus.TIME_LIMIT, (), 0
         except OSError as exc:
             raise BackendProcessError(f"cannot run backend {argv[0]!r}: {exc}")
         if run.returncode != 0:
@@ -168,14 +160,13 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
                 f"backend wrote no solution file at {solution_path}"
             )
         text = solution_path.read_text(encoding="utf-8")
-    elapsed = time.monotonic() - start
 
     head = text.split(None, 1)
     marker = head[0].upper() if head else ""
     if marker == "INFEASIBLE":
-        return BackendResult(SolveStatus.INFEASIBLE, None, elapsed)
+        return SolveStatus.INFEASIBLE, (), 0
     if marker == "TIMELIMIT":
-        return BackendResult(SolveStatus.TIME_LIMIT, None, elapsed)
+        return SolveStatus.TIME_LIMIT, (), 0
     words = text.partition("\n")[0].split()
     nodes = 0
     if len(words) == 3 and words[:2] == ["#", "nodes"] and words[2].isdecimal():
@@ -184,8 +175,7 @@ def solve_external(model: LinearModel, cfg: BackendConfig) -> BackendResult:
         assignment = parse_solution_file(model, text)
     except FormatError as exc:
         raise BackendProcessError(f"unusable solution file: {exc}") from None
-    check_assignment(model, assignment)
-    return BackendResult(SolveStatus.OPTIMAL, assignment, elapsed, nodes)
+    return _answer(model, layout, SolveStatus.OPTIMAL, assignment, nodes)
 
 
 def check_assignment(model: LinearModel, assignment: dict[str, Exact]) -> None:
@@ -231,12 +221,18 @@ def solve_in_process(
     model: LinearModel, layout, time_limit: float | None
 ) -> tuple[SolveStatus, tuple[int, ...], int]:
     """Solve a built model with the bundled HiGHS engine: (status, vertices,
-    nodes), with the assignment passed through check_assignment first and
-    vertices empty when there is none or the model is infeasible.
-    """
+    nodes), as solve_external answers."""
     from .highs import solve_model
 
-    status, assignment, nodes = solve_model(model, time_limit=time_limit)
+    return _answer(model, layout, *solve_model(model, time_limit=time_limit))
+
+
+def _answer(
+    model: LinearModel, layout, status: SolveStatus, assignment, nodes: int
+) -> tuple[SolveStatus, tuple[int, ...], int]:
+    """Either route's answer: the vertex set of the assignment, which passes
+    check_assignment first; empty when there is none or the model is
+    infeasible."""
     if assignment is None or status is SolveStatus.INFEASIBLE:
         return status, (), nodes
     check_assignment(model, assignment)

@@ -12,13 +12,11 @@ come back in ascending order.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 from .backend import (
     ENGINES,  # re-exported: the CLI and the package read driver.ENGINES
     BackendConfig,
     check_engine,
-    extract_vertex_set,
     solve_external,
     solve_in_process,
 )
@@ -98,16 +96,11 @@ def _solve_through_model(
 ) -> Solution:
     start = time.monotonic()
     model, layout = build_problem_model(g, spec)
+    limit = limits.time_seconds
     if engine == "milp":
-        status, vertices, nodes = solve_in_process(model, layout, limits.time_seconds)
+        status, vertices, nodes = solve_in_process(model, layout, limit)
     else:
-        cfg = engine
-        if limits.time_seconds is not None and limits.time_seconds < cfg.time_limit:
-            cfg = replace(cfg, time_limit=limits.time_seconds)
-        result = solve_external(model, cfg)
-        status, vertices, nodes = result.status, (), result.nodes
-        if result.assignment is not None:
-            vertices = extract_vertex_set(layout, result.assignment)
+        status, vertices, nodes = solve_external(model, layout, engine, limit)
     elapsed = time.monotonic() - start
     if spec.problem is Problem.MQC:
         objective = len(vertices)

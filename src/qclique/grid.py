@@ -40,6 +40,7 @@ CSV_COLUMNS = ("param", "status", "objective", "connected", "elapsed", "nodes")
 
 ERROR_STATUS = "error"
 OPTIMAL = SolveStatus.OPTIMAL.value
+STATUSES = frozenset(status.value for status in SolveStatus) | {ERROR_STATUS}
 
 
 class GridError(ValueError):
@@ -114,9 +115,11 @@ class GridCell:
 
     @classmethod
     def from_csv(cls, row: list[str]) -> "GridCell":
+        """The cell of a row as to_csv writes it; any other row raises
+        GridError."""
         try:
             param, status, objective, connected, elapsed, nodes = row
-            return cls(
+            cell = cls(
                 param,
                 status,
                 int(objective),
@@ -124,6 +127,14 @@ class GridCell:
                 float(elapsed),
                 int(nodes),
             )
+            if (
+                status not in STATUSES
+                or connected not in ("true", "false")
+                or min(cell.objective, cell.nodes) < 0
+                or not 0 <= cell.elapsed < math.inf
+            ):
+                raise ValueError
+            return cell
         except ValueError:
             raise GridError(f"malformed grid CSV row: {row!r}") from None
 

@@ -17,18 +17,10 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import replace
 
-from .backend import (
-    BackendConfig,
-    check_engine,
-    extract_vertex_set,
-    solve_external,
-    solve_in_process,
-)
-from .formulations import ProblemSpec, VariableLayout, build_m1, lazy_cuts
+from .backend import BackendConfig, check_engine, solve_external, solve_in_process
+from .formulations import ProblemSpec, build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
-from .milp import LinearModel
 from .solve import Limits, Solution, SolveStatus
 
 logger = logging.getLogger(__name__)
@@ -79,8 +71,11 @@ def solve_lazy(
             remaining = limits.time_seconds - (time.monotonic() - start)
             if remaining <= 0:
                 return finish((), 0, SolveStatus.TIME_LIMIT)
-        status, members, inner_nodes = _solve_inner(model, layout, engine, remaining)
-        nodes += inner_nodes
+        if engine == "milp":
+            status, members, inner = solve_in_process(model, layout, remaining)
+        else:
+            status, members, inner = solve_external(model, layout, engine, remaining)
+        nodes += inner
         if status is SolveStatus.INFEASIBLE:
             return finish((), 0, SolveStatus.INFEASIBLE)
         if status is not SolveStatus.OPTIMAL:
@@ -105,22 +100,3 @@ def solve_lazy(
             len(pooled),
         )
         rounds += 1
-
-
-def _solve_inner(
-    model: LinearModel,
-    layout: VariableLayout,
-    engine: str | BackendConfig,
-    remaining: float | None,
-) -> tuple[SolveStatus, tuple[int, ...], int]:
-    """One full solve of the model with the cuts added so far, within the
-    time the rounds have left."""
-    if engine == "milp":
-        return solve_in_process(model, layout, remaining)
-    cfg = engine
-    if remaining is not None and remaining < cfg.time_limit:
-        cfg = replace(cfg, time_limit=remaining)
-    result = solve_external(model, cfg)
-    if result.assignment is None:
-        return result.status, (), result.nodes
-    return result.status, extract_vertex_set(layout, result.assignment), result.nodes

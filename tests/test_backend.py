@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from qclique.backend import (
     solve_external,
 )
 from qclique.formulations import build_m1
-from qclique.milp import BINARY, LinearModel
 from qclique.solve import SolveStatus
 
 HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
@@ -60,10 +60,10 @@ class TestSolveExternal:
     def test_real_solver_round_trip(self, triangle, fmt):
         model, layout = build_m1(triangle, 3)
         cfg = BackendConfig(command=HIGHS_BACKEND, model_format=fmt)
-        result = solve_external(model, cfg)
-        assert result.status is SolveStatus.OPTIMAL
-        assert extract_vertex_set(layout, result.assignment) == (0, 1, 2)
-        assert result.elapsed >= 0.0
+        status, vertices, nodes = solve_external(model, layout, cfg)
+        assert status is SolveStatus.OPTIMAL
+        assert vertices == (0, 1, 2)
+        assert nodes >= 0
 
     def test_solution_path_override(self, tmp_path, triangle):
         model, layout = build_m1(triangle, 2)
@@ -72,13 +72,13 @@ class TestSolveExternal:
         cfg = BackendConfig(
             command=HIGHS_BACKEND, solution_path=str(target)
         )
-        result = solve_external(model, cfg)
-        assert result.status is SolveStatus.OPTIMAL
+        status, vertices, _ = solve_external(model, layout, cfg)
+        assert status is SolveStatus.OPTIMAL
         assert target.exists()
-        assert len(extract_vertex_set(layout, result.assignment)) == 2
+        assert len(vertices) == 2
 
     def test_all_zero_answer_fails_validation(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         command = scripted(
             tmp_path,
             """\
@@ -87,24 +87,24 @@ class TestSolveExternal:
             """,
         )
         with pytest.raises(BackendValidationError, match="constraint violations"):
-            solve_external(model, BackendConfig(command=command))
+            solve_external(model, layout, BackendConfig(command=command))
 
-    def test_feasible_but_fractional_answer(self, tmp_path):
-        model = LinearModel()
-        model.add_variable("x", BINARY)
-        model.set_objective({"x": 1})
+    def test_feasible_but_fractional_answer(self, tmp_path, triangle):
+        # x = (2/3, 2/3, 2/3) with every y at 0 meets each row of m1 at k = 2.
+        model, layout = build_m1(triangle, 2)
         command = scripted(
             tmp_path,
-            """\
+            f"""\
             import sys
-            open(sys.argv[2], "w").write("x 0.4\\n")
+            text = "".join(name + " {2 / 3!r}\\n" for name in {layout.x!r})
+            open(sys.argv[2], "w").write(text)
             """,
         )
-        with pytest.raises(BackendValidationError, match="fractional"):
-            solve_external(model, BackendConfig(command=command))
+        with pytest.raises(BackendValidationError, match="fractional binaries"):
+            solve_external(model, layout, BackendConfig(command=command))
 
     def test_infeasible_marker(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         command = scripted(
             tmp_path,
             """\
@@ -112,12 +112,11 @@ class TestSolveExternal:
             open(sys.argv[2], "w").write("INFEASIBLE\\n")
             """,
         )
-        result = solve_external(model, BackendConfig(command=command))
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.assignment is None
+        answer = solve_external(model, layout, BackendConfig(command=command))
+        assert answer == (SolveStatus.INFEASIBLE, (), 0)
 
     def test_time_limit_marker(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         command = scripted(
             tmp_path,
             """\
@@ -125,9 +124,8 @@ class TestSolveExternal:
             open(sys.argv[2], "w").write("TIMELIMIT incumbent ignored\\n")
             """,
         )
-        result = solve_external(model, BackendConfig(command=command))
-        assert result.status is SolveStatus.TIME_LIMIT
-        assert result.assignment is None
+        answer = solve_external(model, layout, BackendConfig(command=command))
+        assert answer == (SolveStatus.TIME_LIMIT, (), 0)
 
     @pytest.mark.parametrize("head, nodes", [("# nodes 7\n", 7), ("", 0)])
     def test_node_count_line(self, tmp_path, triangle, head, nodes):
@@ -141,13 +139,11 @@ class TestSolveExternal:
             open(sys.argv[2], "w").write(text)
             """,
         )
-        result = solve_external(model, BackendConfig(command=command))
-        assert result.status is SolveStatus.OPTIMAL
-        assert extract_vertex_set(layout, result.assignment) == (0, 1, 2)
-        assert result.nodes == nodes
+        answer = solve_external(model, layout, BackendConfig(command=command))
+        assert answer == (SolveStatus.OPTIMAL, (0, 1, 2), nodes)
 
     def test_overrunning_process_is_killed(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         command = scripted(
             tmp_path,
             """\
@@ -156,13 +152,13 @@ class TestSolveExternal:
             """,
         )
         cfg = BackendConfig(command=command, time_limit=0.5)
-        result = solve_external(model, cfg)
-        assert result.status is SolveStatus.TIME_LIMIT
-        assert result.assignment is None
-        assert result.elapsed < 10
+        started = time.monotonic()
+        answer = solve_external(model, layout, cfg)
+        assert time.monotonic() - started < 10
+        assert answer == (SolveStatus.TIME_LIMIT, (), 0)
 
     def test_crash_is_a_process_error(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         command = scripted(
             tmp_path,
             """\
@@ -172,36 +168,35 @@ class TestSolveExternal:
             """,
         )
         with pytest.raises(BackendProcessError, match="code 3.*exploded"):
-            solve_external(model, BackendConfig(command=command))
+            solve_external(model, layout, BackendConfig(command=command))
 
     def test_missing_solution_file(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         command = scripted(tmp_path, "pass\n")
         with pytest.raises(BackendProcessError, match="no solution file"):
-            solve_external(model, BackendConfig(command=command))
+            solve_external(model, layout, BackendConfig(command=command))
 
     def test_stale_solution_file_is_not_an_answer(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         target = tmp_path / "out.sol"
-        first = solve_external(
-            model, BackendConfig(command=HIGHS_BACKEND, solution_path=str(target))
-        )
-        assert first.status is SolveStatus.OPTIMAL
+        cfg = BackendConfig(command=HIGHS_BACKEND, solution_path=str(target))
+        status, _, _ = solve_external(model, layout, cfg)
+        assert status is SolveStatus.OPTIMAL
         assert target.exists()
         silent = f"{sys.executable} -c pass {{model}} {{solution}} {{timelimit}}"
         with pytest.raises(BackendProcessError, match="no solution file"):
             solve_external(
-                model, BackendConfig(command=silent, solution_path=str(target))
+                model, layout, BackendConfig(command=silent, solution_path=str(target))
             )
 
     def test_solution_path_that_cannot_be_cleared(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         cfg = BackendConfig(command=HIGHS_BACKEND, solution_path=str(tmp_path))
         with pytest.raises(BackendProcessError):
-            solve_external(model, cfg)
+            solve_external(model, layout, cfg)
 
     def test_unusable_solution_file(self, tmp_path, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         command = scripted(
             tmp_path,
             """\
@@ -210,19 +205,19 @@ class TestSolveExternal:
             """,
         )
         with pytest.raises(BackendProcessError, match="unusable"):
-            solve_external(model, BackendConfig(command=command))
+            solve_external(model, layout, BackendConfig(command=command))
 
     def test_unknown_placeholder(self, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         cfg = BackendConfig(command="solver {modle}")
         with pytest.raises(BackendProcessError, match="placeholder"):
-            solve_external(model, cfg)
+            solve_external(model, layout, cfg)
 
     def test_unrunnable_command(self, triangle):
-        model, _ = build_m1(triangle, 3)
+        model, layout = build_m1(triangle, 3)
         cfg = BackendConfig(command="/no/such/binary {model} {solution}")
         with pytest.raises(BackendProcessError, match="cannot run"):
-            solve_external(model, cfg)
+            solve_external(model, layout, cfg)
 
 
 class TestExtractVertexSet:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,46 @@ class TestSolveProblem:
         assert routed.objective == exact.objective
         if routed.status is SolveStatus.OPTIMAL:
             assert induced_edge_count(g, routed.vertices) == routed.objective
+
+
+class TestChildTimeLimit:
+    """The cell's time limit caps the {timelimit} a solver child gets."""
+
+    def recording_backend(self, tmp_path) -> tuple[BackendConfig, Path]:
+        """The bundled HiGHS backend, logging each call's {timelimit} first."""
+        log = tmp_path / "limits.txt"
+        script = tmp_path / "recording_backend.py"
+        script.write_text(
+            textwrap.dedent(
+                f"""\
+                import sys
+                from qclique.highs import main
+                with open({str(log)!r}, "a", encoding="utf-8") as handle:
+                    handle.write(sys.argv[3] + "\\n")
+                sys.exit(main(sys.argv[1:]))
+                """
+            ),
+            encoding="utf-8",
+        )
+        command = f"{sys.executable} {script} {{model}} {{solution}} {{timelimit}}"
+        return BackendConfig(command, time_limit=3600.0), log
+
+    @pytest.mark.parametrize("seconds, passed", [(5, "5"), (None, "3600.0")])
+    def test_static_cell(self, tmp_path, two_k4s, seconds, passed):
+        cfg, log = self.recording_backend(tmp_path)
+        spec = ProblemSpec.dks(8, mode=Connectivity.CFLOW)
+        solution = solve_problem(two_k4s, spec, cfg, Limits(time_seconds=seconds))
+        assert solution.status is SolveStatus.OPTIMAL
+        assert log.read_text(encoding="utf-8").split() == [passed]
+
+    def test_every_lazy_round(self, tmp_path, two_k4s):
+        cfg, log = self.recording_backend(tmp_path)
+        spec = ProblemSpec.dks(8, mode=Connectivity.LAZY)
+        solution = solve_problem(two_k4s, spec, cfg, Limits(time_seconds=5))
+        assert solution.status is SolveStatus.OPTIMAL
+        passed = [float(word) for word in log.read_text(encoding="utf-8").split()]
+        assert len(passed) == solution.cut_rounds + 1 >= 2
+        assert all(0 < seconds <= 5 for seconds in passed)
 
 
 class TestOneProblemPerSpec:

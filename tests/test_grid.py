@@ -293,6 +293,40 @@ class TestRunGrid:
             with pytest.raises(GridError, match="malformed grid CSV row"):
                 GridCell.from_csv(row)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ["0.10", "bogus", "3", "true", "0.100000", "1"],
+            ["0.10", "optimal", "3", "yes", "0.100000", "1"],
+            ["0.10", "optimal", "-3", "true", "0.100000", "1"],
+            ["0.10", "optimal", "3", "true", "0.100000", "-1"],
+            ["0.10", "optimal", "3", "true", "nan", "1"],
+            ["0.10", "optimal", "3", "true", "inf", "1"],
+            ["0.10", "optimal", "3", "true", "-0.100000", "1"],
+        ],
+    )
+    def test_rows_the_writer_never_writes_are_refused(self, row):
+        with pytest.raises(GridError, match="malformed grid CSV row"):
+            GridCell.from_csv(row)
+
+    @pytest.mark.parametrize(
+        "status", [status.value for status in solve.SolveStatus] + ["error"]
+    )
+    def test_every_written_status_reads_back(self, status):
+        for connected in (True, False):
+            cell = GridCell("0.10", status, 0, connected, 0.0, 0)
+            assert GridCell.from_csv(cell.to_csv()) == cell
+
+    def test_negative_optimum_in_a_tagged_file_is_refused(self, tmp_path, two_k4s):
+        # Read as an optimum, the row would hand the next cell a ceiling of -3.
+        header = ",".join(CSV_COLUMNS) + f",v2:{two_k4s.fingerprint()}:mqc:none"
+        target = tmp_path / "grid.csv"
+        text = header + "\n0.10,optimal,-3,true,0.1,1\n"
+        target.write_text(text, encoding="utf-8")
+        with pytest.raises(GridError, match="malformed grid CSV row"):
+            run_grid(two_k4s, GridSpec("blocks", Problem.MQC), target)
+        assert target.read_text(encoding="utf-8") == text
+
     def test_torn_header_is_rewritten(self, tmp_path, triangle):
         fresh = tmp_path / "fresh.csv"
         spec = GridSpec(name="triangle", family=Problem.DKS)
