@@ -76,9 +76,9 @@ def solve_problem(
     "milp" (bundled HiGHS on the built model), or a BackendConfig for an
     external process. The combinatorial engines read every connectivity
     mode alike; on a model engine, LAZY mode runs the separation loop.
+    Each engine checks the spec against the graph itself.
     """
     check_engine(engine)
-    spec.validate_for(g)
     if engine == "bnb":
         return branch_and_bound(g, spec, limits)
     if engine == "brute":

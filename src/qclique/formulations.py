@@ -244,8 +244,10 @@ def build_m1(g: Graph, k: int) -> tuple[LinearModel, VariableLayout]:
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise FormulationError(f"k must be an integer, got {k!r}")
-    if not 2 <= k <= g.n:
-        raise FormulationError(f"k={k} outside [2, {g.n}]")
+    if k < 2:
+        raise FormulationError(f"k must be at least 2, got {k}")
+    if k > g.n:
+        raise FormulationError(f"k={k} exceeds vertex count {g.n}")
     model, x, y = _base(g, {"formulation": "m1", "k": str(k)})
     model.set_objective({name: 1 for name in y.values()})
     model.add_constraint({name: 1 for name in x}, "=", k, "Eq1a")
@@ -273,9 +275,10 @@ def build_f3(
     indicators stay continuous). Rows: the density row compares the selected
     edge count against gamma times the pair count of the selected size, the
     size row ties x to z, the choice row makes z a convex choice, and two cap
-    rows per edge bound y by its endpoints. gamma enters the density row as
-    an exact rational coefficient: at binding thresholds, rounding would
-    change the feasible set.
+    rows per edge bound y by its endpoints. With gamma = num/den in lowest
+    terms the density row reads den*sum(y) - num*sum(C(t, 2)*z_t) >= 0, so
+    every number of the model is an int: the exports write it exactly, and
+    HiGHS reads the matrix it is given.
     """
     gamma = _rational_param(gamma, "gamma")
     if not 0 < gamma <= 1:
@@ -296,9 +299,9 @@ def build_f3(
         z[t] = name
         model.add_variable(name, CONTINUOUS, 0, 1)
     model.set_objective({name: 1 for name in x})
-    density_terms: dict[str, int | Fraction] = {name: 1 for name in y.values()}
+    density_terms = {name: gamma.denominator for name in y.values()}
     for t, name in z.items():
-        density_terms[name] = -gamma * _edge_upper_bound(t)
+        density_terms[name] = -gamma.numerator * _edge_upper_bound(t)
     model.add_constraint(density_terms, ">=", 0, "Eq2a")
     size_terms = {name: 1 for name in x}
     for t, name in z.items():

@@ -1,12 +1,10 @@
 """Solve LinearModel instances with the HiGHS engine bundled in scipy.
 
-The bridge converts exact-rational rows to floating point by scaling each
-row to integers first (least common multiple of the denominators) whenever
-the scaled magnitudes stay inside the 2**53 window where float conversion
-is exact; rows that cannot be scaled safely fall back to plain conversion.
-Assignments come back exact: an int for each whole float HiGHS reports and
-the float's binary Fraction otherwise. The caller validates them; they are
-never trusted.
+The bridge hands HiGHS each number of the model as its float. The builders
+make only ints, so HiGHS reads the numbers that were built, the same ones a
+solver child reads from the model's exact LP or MPS text. Assignments come
+back exact: an int for each whole float HiGHS reports and the float's binary
+Fraction otherwise. The caller validates them; they are never trusted.
 
 The module doubles as a command-line solver so it can serve as an external
 backend process:
@@ -21,36 +19,18 @@ from __future__ import annotations
 
 import argparse
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import numpy as np
 from scipy import optimize, sparse
 
 from .lpio import parse_lp, parse_mps
-from .milp import BINARY, Exact, LinearConstraint, LinearModel
+from .milp import BINARY, Exact, LinearModel
 from .solve import SolveStatus
-
-_EXACT_WINDOW = 2**53
 
 
 class HighsError(RuntimeError):
     """Raised when the engine reports neither an optimum nor a clean limit."""
-
-
-def _row_floats(row: LinearConstraint) -> tuple[dict[str, float], float]:
-    """Float coefficients and rhs for one row, exactly when possible."""
-    denominators = [coef.denominator for coef in row.terms.values()]
-    denominators.append(row.rhs.denominator)
-    scale = lcm(*denominators)
-    if scale <= _EXACT_WINDOW:
-        scaled = {name: coef * scale for name, coef in row.terms.items()}
-        rhs = row.rhs * scale
-        if all(abs(v) <= _EXACT_WINDOW for v in scaled.values()) and (
-            abs(rhs) <= _EXACT_WINDOW
-        ):
-            return {n: float(v) for n, v in scaled.items()}, float(rhs)
-    return {n: float(v) for n, v in row.terms.items()}, float(row.rhs)
 
 
 def solve_model(
@@ -89,11 +69,11 @@ def solve_model(
         row_lower = np.full(len(model.constraints), -np.inf)
         row_upper = np.full(len(model.constraints), np.inf)
         for r, row in enumerate(model.constraints):
-            coefs, rhs = _row_floats(row)
-            for name, value in coefs.items():
-                data.append(value)
+            for name, value in row.terms.items():
+                data.append(float(value))
                 rows.append(r)
                 cols.append(index[name])
+            rhs = float(row.rhs)
             if row.sense in ("<=", "="):
                 row_upper[r] = rhs
             if row.sense in (">=", "="):

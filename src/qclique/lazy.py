@@ -19,7 +19,7 @@ import logging
 import time
 
 from .backend import BackendConfig, check_engine, solve_external, solve_in_process
-from .formulations import ProblemSpec, build_m1, lazy_cuts
+from .formulations import build_m1, lazy_cuts
 from .graphs import Graph, induced_edge_count, is_connected
 from .solve import Limits, Solution, SolveStatus
 
@@ -45,8 +45,6 @@ def solve_lazy(
     rounds together.
     """
     check_engine(engine, ENGINES)
-    spec = ProblemSpec.dks(k)
-    spec.validate_for(g)
     start = time.monotonic()
     model, layout = build_m1(g, k)
     pooled: set[str] = set()

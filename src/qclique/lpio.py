@@ -2,10 +2,10 @@
 
 The writers are deterministic: the same model always yields the same bytes,
 and re-exporting a parsed export reproduces those bytes for models produced
-by this package's builders. Rationals with terminating decimal expansions are
-rendered as their shortest exact decimal; anything else is rounded to 17
-significant digits and recorded as a warning, which export_lp and export_mps
-log at WARNING.
+by this package's builders. Every number is written exactly, as its shortest
+decimal; a number with no terminating decimal form (such as 1/3) raises
+FormatError. The builders make only ints, so only a hand-built model can
+hold such a number.
 
 The LP dialect is the CPLEX-style section format (Maximize / Subject To /
 Bounds / Binaries / End); MPS output is free-format with OBJSENSE MAX and
@@ -18,27 +18,27 @@ both raise FormatError, never ModelError, for text that is no valid model.
 
 from __future__ import annotations
 
-import logging
 import string
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Mapping
 
 from .milp import BINARY, CONTINUOUS, Exact, LinearModel, ModelError, _rational
-
-logger = logging.getLogger(__name__)
 
 
 class FormatError(ValueError):
     """Raised for unparsable or unrepresentable model text."""
 
 
-def format_rational(q: Exact) -> tuple[str, bool]:
-    """Render an int or Fraction as decimal text: (text, exactly_representable)."""
+def format_rational(q: Exact, where: str) -> str:
+    """An int or Fraction as exact decimal text.
+
+    A value with no terminating decimal form raises FormatError naming
+    where it sits.
+    """
     num, den = q.numerator, q.denominator
     if den == 1:
-        return str(num), True
+        return str(num)
     rest, twos, fives = den, 0, 0
     while rest % 2 == 0:
         rest //= 2
@@ -46,15 +46,12 @@ def format_rational(q: Exact) -> tuple[str, bool]:
     while rest % 5 == 0:
         rest //= 5
         fives += 1
-    if rest == 1:
-        k = max(twos, fives)
-        digits = str(abs(num) * (10**k // den)).rjust(k + 1, "0")
-        text = (digits[:-k] + "." + digits[-k:]).rstrip("0").rstrip(".")
-        return ("-" if num < 0 else "") + text, True
-    with localcontext() as ctx:
-        ctx.prec = 17
-        approx = Decimal(num) / Decimal(den)
-    return format(approx, "f"), False
+    if rest != 1:
+        raise FormatError(f"{where}: {q} has no exact decimal form")
+    k = max(twos, fives)
+    digits = str(abs(num) * (10**k // den)).rjust(k + 1, "0")
+    text = (digits[:-k] + "." + digits[-k:]).rstrip("0").rstrip(".")
+    return ("-" if num < 0 else "") + text
 
 
 _NAME_CHARS = set(string.ascii_letters + string.digits + "_.")
@@ -75,12 +72,11 @@ def sanitize_name(name: str, prefix: str) -> str:
 
 @dataclass(frozen=True)
 class ExportDoc:
-    """Export text plus the name maps and rendering warnings."""
+    """Export text plus the name maps."""
 
     text: str
     var_names: dict[str, str]
     row_names: dict[str, str]
-    warnings: tuple[str, ...]
 
 
 def _name_maps(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
@@ -104,28 +100,14 @@ def _name_maps(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
     return var_names, row_names
 
 
-class _Renderer:
-    def __init__(self) -> None:
-        self.warnings: list[str] = []
-
-    def number(self, q: Exact, where: str) -> str:
-        text, exact = format_rational(q)
-        if not exact:
-            self.warnings.append(
-                f"{where}: {q} rendered inexactly as {text} (17 significant digits)"
-            )
-        return text
-
-    def terms(
-        self, terms: Mapping[str, Exact], names: dict[str, str], where: str
-    ) -> str:
-        if not terms:
-            return f"+ 0 {next(iter(names.values()))}"
-        parts = []
-        for name, coef in terms.items():
-            sign = "-" if coef < 0 else "+"
-            parts.append(f"{sign} {self.number(abs(coef), where)} {names[name]}")
-        return " ".join(parts)
+def _terms(terms: Mapping[str, Exact], names: dict[str, str], where: str) -> str:
+    if not terms:
+        return f"+ 0 {next(iter(names.values()))}"
+    parts = []
+    for name, coef in terms.items():
+        sign = "-" if coef < 0 else "+"
+        parts.append(f"{sign} {format_rational(abs(coef), where)} {names[name]}")
+    return " ".join(parts)
 
 
 def _meta_lines(model: LinearModel, comment: str) -> list[str]:
@@ -142,35 +124,29 @@ def _meta_lines(model: LinearModel, comment: str) -> list[str]:
 def lp_document(model: LinearModel) -> ExportDoc:
     """Render the model in LP format with full name maps."""
     var_names, row_names = _name_maps(model)
-    r = _Renderer()
     lines = ["\\ linear model"]
     lines += _meta_lines(model, "\\")
     lines.append("Maximize")
-    lines.append(f" obj: {r.terms(model.objective, var_names, 'objective')}")
+    lines.append(f" obj: {_terms(model.objective, var_names, 'objective')}")
     lines.append("Subject To")
     for row in model.constraints:
         rname = row_names[row.tag]
-        body = r.terms(row.terms, var_names, f"row {rname}")
-        rhs = r.number(row.rhs, f"rhs of {rname}")
+        body = _terms(row.terms, var_names, f"row {rname}")
+        rhs = format_rational(row.rhs, f"rhs of {rname}")
         lines.append(f" {rname}: {body} {row.sense} {rhs}")
     bound_lines = []
     for var in model.variables:
+        if var.kind == BINARY and (var.lower, var.upper) == (0, 1):
+            continue
         name = var_names[var.name]
-        if var.kind == BINARY:
-            if (var.lower, var.upper) == (0, 1):
-                continue
-            lo = r.number(var.lower, f"bound of {name}")
-            up = r.number(var.upper, f"bound of {name}")
-            bound_lines.append(f" {lo} <= {name} <= {up}")
-        elif var.lower is None and var.upper is None:
+        where = f"bound of {name}"
+        if var.lower is None and var.upper is None:
             bound_lines.append(f" {name} free")
         elif var.upper is None:
-            bound_lines.append(f" {name} >= {r.number(var.lower, name)}")
-        elif var.lower is None:
-            bound_lines.append(f" -inf <= {name} <= {r.number(var.upper, name)}")
+            bound_lines.append(f" {name} >= {format_rational(var.lower, where)}")
         else:
-            lo = r.number(var.lower, f"bound of {name}")
-            up = r.number(var.upper, f"bound of {name}")
+            lo = "-inf" if var.lower is None else format_rational(var.lower, where)
+            up = format_rational(var.upper, where)
             bound_lines.append(f" {lo} <= {name} <= {up}")
     if bound_lines:
         lines.append("Bounds")
@@ -180,27 +156,16 @@ def lp_document(model: LinearModel) -> ExportDoc:
         lines.append("Binaries")
         lines.extend(f" {name}" for name in binaries)
     lines.append("End")
-    return ExportDoc(
-        "\n".join(lines) + "\n", var_names, row_names, tuple(r.warnings)
-    )
-
-
-def _logged_text(doc: ExportDoc) -> str:
-    """The document's text, after one log line counting its warnings."""
-    if doc.warnings:
-        count, first = len(doc.warnings), doc.warnings[0]
-        logger.warning("%d numbers rendered inexactly; the first: %s", count, first)
-    return doc.text
+    return ExportDoc("\n".join(lines) + "\n", var_names, row_names)
 
 
 def export_lp(model: LinearModel) -> str:
-    return _logged_text(lp_document(model))
+    return lp_document(model).text
 
 
 def mps_document(model: LinearModel) -> ExportDoc:
     """Render the model in free MPS format with full name maps."""
     var_names, row_names = _name_maps(model)
-    r = _Renderer()
     lines = ["* linear model"]
     lines += _meta_lines(model, "*")
     lines.append("NAME model")
@@ -216,13 +181,14 @@ def mps_document(model: LinearModel) -> ExportDoc:
     # the COLUMNS section costs O(nonzeros) instead of O(variables x rows).
     columns: dict[str, list[str]] = {var.name: [] for var in model.variables}
     for var_name, coef in model.objective.items():
-        name = var_names[var_name]
-        columns[var_name].append(f"    {name}  obj  {r.number(coef, name)}")
+        value = format_rational(coef, "objective")
+        columns[var_name].append(f"    {var_names[var_name]}  obj  {value}")
     for row in model.constraints:
         rname = row_names[row.tag]
+        where = f"row {rname}"
         for var_name, coef in row.terms.items():
-            name = var_names[var_name]
-            columns[var_name].append(f"    {name}  {rname}  {r.number(coef, name)}")
+            value = format_rational(coef, where)
+            columns[var_name].append(f"    {var_names[var_name]}  {rname}  {value}")
     marker = 0
     integer_mode = False
     for var in model.variables:
@@ -239,27 +205,26 @@ def mps_document(model: LinearModel) -> ExportDoc:
     lines.append("RHS")
     for row in model.constraints:
         rname = row_names[row.tag]
-        lines.append(f"    RHS  {rname}  {r.number(row.rhs, f'rhs of {rname}')}")
+        lines.append(f"    RHS  {rname}  {format_rational(row.rhs, f'rhs of {rname}')}")
     lines.append("BOUNDS")
     for var in model.variables:
         name = var_names[var.name]
+        where = f"bound of {name}"
         if var.lower is None and var.upper is None:
             lines.append(f" FR BND {name}")
             continue
         if var.lower is None:
             lines.append(f" MI BND {name}")
         else:
-            lines.append(f" LO BND {name} {r.number(var.lower, name)}")
+            lines.append(f" LO BND {name} {format_rational(var.lower, where)}")
         if var.upper is not None:
-            lines.append(f" UP BND {name} {r.number(var.upper, name)}")
+            lines.append(f" UP BND {name} {format_rational(var.upper, where)}")
     lines.append("ENDATA")
-    return ExportDoc(
-        "\n".join(lines) + "\n", var_names, row_names, tuple(r.warnings)
-    )
+    return ExportDoc("\n".join(lines) + "\n", var_names, row_names)
 
 
 def export_mps(model: LinearModel) -> str:
-    return _logged_text(mps_document(model))
+    return mps_document(model).text
 
 
 class _Numbers(dict):

@@ -2,11 +2,11 @@
 
 Models hold variables (binary or bounded continuous), sparse linear rows, and
 a maximization objective. Numbers are ints for whole values and Fractions
-otherwise (denominator above 1); nearly all are whole, and an int is far
-cheaper than a Fraction to build, compare and multiply. evaluate() is the
-ground-truth feasibility check used throughout the test suite, so it applies
-zero tolerance unless the caller passes one explicitly (only done when judging
-float assignments returned by external solvers).
+otherwise (denominator above 1); the builders make only whole ones, and an
+int is far cheaper than a Fraction to build, compare and multiply.
+evaluate() is the ground-truth feasibility check used throughout the test
+suite, so it applies zero tolerance unless the caller passes one explicitly
+(only done when judging float assignments returned by external solvers).
 
 Floats and bools are rejected at the model boundary: a coefficient like 0.29
 is not the rational 29/100, and silently converting would move binding

@@ -18,7 +18,8 @@ from qclique.backend import (
     extract_vertex_set,
     solve_external,
 )
-from qclique.formulations import build_m1
+from qclique.driver import solve_problem
+from qclique.formulations import Connectivity, ProblemSpec, build_m1
 from qclique.solve import SolveStatus
 
 HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
@@ -218,6 +219,29 @@ class TestSolveExternal:
         cfg = BackendConfig(command="/no/such/binary {model} {solution}")
         with pytest.raises(BackendProcessError, match="cannot run"):
             solve_external(model, layout, cfg)
+
+
+class TestSameMatrix:
+    """An MPS child solves the matrix the in-process engine solves: the
+    same answer and the same HiGHS node count, cell for cell."""
+
+    @pytest.mark.parametrize(
+        "mode", [Connectivity.NONE, Connectivity.MPR, Connectivity.CSTREE]
+    )
+    @pytest.mark.parametrize(
+        "gamma",
+        [Fraction(3, 7), Fraction(1, 3), Fraction(3, 4), Fraction(29, 100)],
+        ids=str,
+    )
+    def test_mps_child_matches_in_process(self, two_k4s, gamma, mode):
+        spec = ProblemSpec.mqc(gamma, mode=mode)
+        cfg = BackendConfig(command=HIGHS_BACKEND, model_format=ModelFormat.MPS)
+        child = solve_problem(two_k4s, spec, engine=cfg)
+        own = solve_problem(two_k4s, spec, engine="milp")
+        assert child.status is own.status is SolveStatus.OPTIMAL
+        assert child.vertices == own.vertices
+        assert child.objective == own.objective
+        assert child.nodes_explored == own.nodes_explored
 
 
 class TestExtractVertexSet:

@@ -1,10 +1,10 @@
 """Pins for the model's number rule and for the bytes of its exports.
 
 Every number in a model is an int when it is whole and a Fraction with a
-denominator above 1 otherwise: in a built model, in the LP/MPS re-read of
-its export, and in an assignment from the HiGHS bridge. The export digests
-below were taken before that rule existed, so they also pin that the rule
-changed no byte of any export.
+denominator above 1 otherwise: in an LP/MPS re-read and in an assignment
+from the HiGHS bridge. Every number of a built model is whole, so it is an
+int: the threshold model writes its density row scaled by gamma's
+denominator. The export digests below pin the bytes of both formats.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def specs(draw):
 def test_every_number_is_an_int_when_whole(case):
     g, spec = case
     model, _ = build_problem_model(g, spec)
-    assert all(is_exact(q) for q in model_numbers(model))
+    assert all(type(q) is int for q in model_numbers(model))
     for reread in (parse_lp(export_lp(model)), parse_mps(export_mps(model))):
         assert all(is_exact(q) for q in model_numbers(reread))
     _, assignment, _ = solve_model(model)
@@ -69,29 +69,33 @@ def test_every_number_is_an_int_when_whole(case):
         assert is_exact(report.objective)
 
 
-def test_the_density_row_keeps_its_fractions():
+def test_the_density_row_is_integral():
+    # gamma = 3/4: each y term is 4 and each z_t is -3 * C(t, 2).
     model, _ = build_problem_model(make_two_k4s(), ProblemSpec.mqc(Fraction(3, 4)))
     density = next(row for row in model.constraints if row.tag == "Eq2a")
-    assert "z_1" not in density.terms  # -3/4 * 0 pairs
-    assert density.terms["z_2"] == Fraction(-3, 4)
-    assert density.terms["z_5"] == Fraction(-15, 2)
-    assert type(density.terms["z_8"]) is int and density.terms["z_8"] == -21
+    assert (density.sense, density.rhs) == (">=", 0)
+    assert {density.terms[name] for name in density.terms if name[0] == "y"} == {4}
+    assert "z_1" not in density.terms  # 0 pairs
+    assert density.terms["z_2"] == -3
+    assert density.terms["z_5"] == -30
+    assert density.terms["z_8"] == -84
+    assert all(type(coef) is int for coef in density.terms.values())
 
 
-# SHA-256 of the exports of two_k4s, taken from the code that stored every
-# number as a Fraction: mqc at gamma 3/4 and dks at k 5, per static mode.
+# SHA-256 of the exports of two_k4s: mqc at gamma 3/4 (its density row in
+# ints) and dks at k 5, per static mode.
 DIGESTS = {
     ("mqc", "none"): (
-        "2c7acf99395993cad20a5ae06bc8a36e0c7c6dc8929addfd8f16d19411444b82",
-        "b1114a2d5abdacb2c3368a0d0767ce78fb00c586c5e529a626d3f397c65112af",
+        "efb6eb7f153ed3e895194694be94cfbc9cb74546012b0a911f95264ace308d15",
+        "2b0527a12d14314132e900435fe1a2079a61e2191a814fd81adab23f96a7a4ea",
     ),
     ("mqc", "mpr"): (
-        "9e9d1489611882b03c41376c15c0ea8a59db047f56f39eb35c8fdcd35e742b71",
-        "0af77340c24a93358d6800de82158cae50ef1fa1434c6ba549b96a173955e783",
+        "10a3a3c6806b4fa4d1e344c4db67449f2dbe1b399c41dd395b381576ee31f50f",
+        "ccd300c200d423d30a1540492a2a3196b5c578d6e932b9ca1c4cdce130ec5b75",
     ),
     ("mqc", "cstree"): (
-        "9b2d20975ae7fe97530f7b18566d1507b5b960ec701446b937946d4fef1f5d62",
-        "de9015c3b6733cedb8ce92c076eb0d8a1356a82f4d3793f2961ce2512d07363d",
+        "0b7dfad442e1fdde1876b99605fda3c2b1ace5fb1ec6999a1fbbdf707a47d32a",
+        "8f691cd4d700574b2a88f6bd128dc938afdb5dd9158a29ffd098e2ec93d1d4f5",
     ),
     ("dks", "none"): (
         "2b83fbefeef0d4ca3afa6d66aff4bca308a5340386f24131dc9eb1f06f40431c",

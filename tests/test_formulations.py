@@ -123,9 +123,9 @@ class TestBuildM1:
         assert model.metadata["formulation"] == "m1"
 
     def test_k_out_of_range_rejected(self, triangle):
-        with pytest.raises(FormulationError, match="outside"):
+        with pytest.raises(FormulationError, match="at least 2"):
             build_m1(triangle, 1)
-        with pytest.raises(FormulationError, match="outside"):
+        with pytest.raises(FormulationError, match="exceeds vertex count 3"):
             build_m1(triangle, 4)
         with pytest.raises(FormulationError, match="integer"):
             build_m1(triangle, Fraction(2))
@@ -765,7 +765,7 @@ End
 Maximize
  obj: + 1 x_0 + 1 x_1 + 1 x_2
 Subject To
- c_Eq2a: + 1 y_0_1 + 1 y_1_2 - 0.5 z_2 - 1.5 z_3 >= 0
+ c_Eq2a: + 2 y_0_1 + 2 y_1_2 - 1 z_2 - 3 z_3 >= 0
  c_Eq2b: + 1 x_0 + 1 x_1 + 1 x_2 - 1 z_1 - 2 z_2 - 3 z_3 = 0
  c_Eq2c: + 1 z_1 + 1 z_2 + 1 z_3 = 1
  c_Eq2d_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
@@ -792,7 +792,7 @@ End
 Maximize
  obj: + 1 x_0 + 1 x_1 + 1 x_2
 Subject To
- c_Eq2a: + 1 y_0_1 + 1 y_1_2 - 0.5 z_2 - 1.5 z_3 >= 0
+ c_Eq2a: + 2 y_0_1 + 2 y_1_2 - 1 z_2 - 3 z_3 >= 0
  c_Eq2b: + 1 x_0 + 1 x_1 + 1 x_2 - 1 z_1 - 2 z_2 - 3 z_3 = 0
  c_Eq2c: + 1 z_1 + 1 z_2 + 1 z_3 = 1
  c_Eq2d_e_0_1: + 1 y_0_1 - 1 x_0 <= 0
@@ -844,7 +844,7 @@ End
 Maximize
  obj: + 1 x_0 + 1 x_1 + 1 x_2
 Subject To
- c_Eq2a: + 1 y_0_1 + 1 y_1_2 - 0.5 z_2 - 1.5 z_3 >= 0
+ c_Eq2a: + 2 y_0_1 + 2 y_1_2 - 1 z_2 - 3 z_3 >= 0
  c_Eq2b: + 1 x_0 + 1 x_1 + 1 x_2 - 1 z_1 - 2 z_2 - 3 z_3 = 0
  c_Eq2c: + 1 z_1 + 1 z_2 + 1 z_3 = 1
  c_Eq2d_e_0_1: + 1 y_0_1 - 1 x_0 <= 0

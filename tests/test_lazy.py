@@ -77,9 +77,20 @@ class TestSolveLazy:
         with pytest.raises(SolveError, match=expected):
             solve_lazy(path3, 2, engine=engine)
 
-    def test_oversized_k_rejected(self, path3):
+    @pytest.mark.parametrize(
+        "engine, mode",
+        [
+            ("bnb", Connectivity.NONE),
+            ("brute", Connectivity.NONE),
+            ("milp", Connectivity.NONE),
+            ("milp", Connectivity.LAZY),
+        ],
+    )
+    def test_oversized_k_rejected(self, path3, engine, mode):
+        # Each engine checks k itself; the dispatcher adds no check.
+        spec = ProblemSpec.dks(4, mode=mode)
         with pytest.raises(FormulationError, match="exceeds vertex count"):
-            solve_lazy(path3, 4)
+            driver.solve_problem(path3, spec, engine=engine)
 
     def test_global_time_limit(self, two_k4s):
         solution = solve_lazy(

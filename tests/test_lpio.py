@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from fractions import Fraction
 
 import pytest
@@ -58,20 +57,17 @@ class TestFormatRational:
         ],
     )
     def test_terminating_decimals_exact(self, value, text):
-        rendered, exact = format_rational(value)
+        rendered = format_rational(value, "here")
         assert rendered == text
-        assert exact
         assert Fraction(rendered) == value
 
-    def test_nonterminating_rounds_to_17_digits(self):
-        rendered, exact = format_rational(Fraction(1, 3))
-        assert not exact
-        assert rendered == "0.33333333333333333"
+    def test_nonterminating_is_refused(self):
+        with pytest.raises(FormatError, match="^row c: 1/3 has no exact decimal form$"):
+            format_rational(Fraction(1, 3), "row c")
 
     def test_nonterminating_negative(self):
-        rendered, exact = format_rational(Fraction(-2, 3))
-        assert not exact
-        assert rendered.startswith("-0.6666666666666666")
+        with pytest.raises(FormatError, match="^here: -2/3 has no exact"):
+            format_rational(Fraction(-2, 3), "here")
 
     @given(
         st.integers(-10**6, 10**6),
@@ -80,9 +76,7 @@ class TestFormatRational:
     )
     def test_power_of_ten_denominators_round_trip(self, num, twos, fives):
         value = Fraction(num, 2**twos * 5**fives)
-        rendered, exact = format_rational(value)
-        assert exact
-        assert Fraction(rendered) == value
+        assert Fraction(format_rational(value, "here")) == value
 
 
 class TestSanitizeName:
@@ -140,7 +134,6 @@ class TestExportLp:
         doc = lp_document(pair_selection_model())
         assert doc.row_names["left:0_1"] == "left_0_1"
         assert doc.var_names["x_0"] == "x_0"
-        assert doc.warnings == ()
 
     def test_free_and_unbounded_bounds(self):
         m = LinearModel()
@@ -170,14 +163,6 @@ class TestExportLp:
         assert " obj: + 0 x\n" in text
         assert " void: + 0 x = 0\n" in text
 
-    def test_inexact_coefficient_warns(self):
-        m = LinearModel()
-        m.add_variable("x", CONTINUOUS, 0, 1)
-        m.add_constraint({"x": Fraction(1, 3)}, "<=", 1, "third")
-        m.set_objective({"x": 1})
-        doc = lp_document(m)
-        assert any("third" in w and "0.33333333333333333" in w for w in doc.warnings)
-
     def test_model_without_variables_rejected(self):
         with pytest.raises(FormatError, match="no variables"):
             export_lp(LinearModel())
@@ -191,33 +176,33 @@ class TestExportLp:
             export_lp(m)
 
 
-class TestExportWarnings:
-    """Inexact renderings reach the qclique.lpio logger as one line per
-    document; the text is unchanged."""
+class TestExportRefusals:
+    """A number with no exact decimal form is refused, never rounded: the
+    error names where the number sits."""
 
     @staticmethod
-    def three_sevenths_model() -> LinearModel:
+    def model_with(coef=1, rhs=1, upper=1) -> LinearModel:
         m = LinearModel()
         m.add_variable("x", BINARY)
-        m.add_constraint({"x": Fraction(3, 7)}, "<=", Fraction(1, 3), "c")
+        m.add_variable("f", CONTINUOUS, 0, upper)
+        m.add_constraint({"x": coef, "f": 1}, "<=", rhs, "c")
         m.set_objective({"x": 1})
         return m.freeze()
 
+    @pytest.mark.parametrize("export", [export_lp, export_mps])
     @pytest.mark.parametrize(
-        "export, document", [(export_lp, lp_document), (export_mps, mps_document)]
+        "place, where, text",
+        [
+            ({"coef": Fraction(3, 7)}, "row c", "3/7"),
+            ({"rhs": Fraction(1, 3)}, "rhs of c", "1/3"),
+            ({"upper": Fraction(5, 3)}, "bound of f", "5/3"),
+        ],
+        ids=["row", "rhs", "bound"],
     )
-    def test_rounding_warnings_are_logged(self, caplog, export, document):
-        model = self.three_sevenths_model()
-        doc = document(model)
-        assert len(doc.warnings) == 2
-        with caplog.at_level(logging.WARNING, logger="qclique.lpio"):
-            assert export(model) == doc.text
-        (record,) = [r for r in caplog.records if r.name == "qclique.lpio"]
-        assert record.levelno == logging.WARNING
-        assert record.getMessage() == (
-            f"2 numbers rendered inexactly; the first: {doc.warnings[0]}"
-        )
-        assert "3/7 rendered inexactly" in record.getMessage()
+    def test_inexact_number_is_refused(self, export, place, where, text):
+        model = self.model_with(**place)
+        with pytest.raises(FormatError, match=f"^{where}: {text} has no exact"):
+            export(model)
 
 
 class TestExportMps:
@@ -306,18 +291,11 @@ def exact_fractions(draw, lo=-6, hi=6):
 
 
 @st.composite
-def any_fractions(draw):
-    """Coefficients that include non-terminating decimals such as 1/3."""
-    return Fraction(
-        draw(st.integers(-24, 24)), draw(st.sampled_from([1, 2, 3, 6, 7, 10]))
-    )
-
-
-@st.composite
-def models(draw, coefficients=exact_fractions(), isolated=False):
+def models(draw, isolated=False):
     """Random models; isolated=True adds a variable in no row and not in
     the objective, and one that appears only in the objective, each at a
     random place in the column order."""
+    coefficients = exact_fractions()
     count = draw(st.integers(1, 5))
     names = [f"{draw(st.sampled_from('vwxyz'))}_{i}" for i in range(count)]
     model = LinearModel(
@@ -402,30 +380,17 @@ class TestRoundTrip:
 class TestMpsColumns:
     """The column-indexed writer against the plain column-major scan."""
 
-    @given(models(coefficients=any_fractions(), isolated=True))
+    @given(models(isolated=True))
     @settings(max_examples=80, deadline=None)
     def test_matches_column_major_reference(self, model):
-        doc = mps_document(model)
-        text, warnings = reference_mps(model)
-        assert doc.text == text
-        # The writer renders COLUMNS row by row, so only the order differs.
-        assert sorted(doc.warnings) == sorted(warnings)
+        assert mps_document(model).text == reference_mps(model)
 
 
-def reference_mps(model: LinearModel) -> tuple[str, list[str]]:
-    """MPS text and warnings by the plain column-major scan: every row is
-    searched for every column."""
+def reference_mps(model: LinearModel) -> str:
+    """MPS text by the plain column-major scan: every row is searched for
+    every column."""
     doc = lp_document(model)
     var_names, row_names = doc.var_names, doc.row_names
-    warnings = []
-
-    def number(q: Fraction, where: str) -> str:
-        text, exact = format_rational(q)
-        if not exact:
-            warnings.append(
-                f"{where}: {q} rendered inexactly as {text} (17 significant digits)"
-            )
-        return text
 
     lines = ["* linear model"]
     lines += [f"* meta {key}={value}" for key, value in model.metadata.items()]
@@ -448,13 +413,13 @@ def reference_mps(model: LinearModel) -> tuple[str, list[str]]:
             if var.name in row.terms:
                 entries.append((row_names[row.tag], row.terms[var.name]))
         for rname, coef in entries or [("obj", Fraction(0))]:
-            lines.append(f"    {name}  {rname}  {number(coef, name)}")
+            lines.append(f"    {name}  {rname}  {format_rational(coef, name)}")
     if integer_mode:
         lines.append(f"    MARKER{marker}  'MARKER'  'INTEND'")
     lines.append("RHS")
     for row in model.constraints:
         rname = row_names[row.tag]
-        lines.append(f"    RHS  {rname}  {number(row.rhs, f'rhs of {rname}')}")
+        lines.append(f"    RHS  {rname}  {format_rational(row.rhs, rname)}")
     lines.append("BOUNDS")
     for var in model.variables:
         name = var_names[var.name]
@@ -464,17 +429,17 @@ def reference_mps(model: LinearModel) -> tuple[str, list[str]]:
         if var.lower is None:
             lines.append(f" MI BND {name}")
         else:
-            lines.append(f" LO BND {name} {number(var.lower, name)}")
+            lines.append(f" LO BND {name} {format_rational(var.lower, name)}")
         if var.upper is not None:
-            lines.append(f" UP BND {name} {number(var.upper, name)}")
+            lines.append(f" UP BND {name} {format_rational(var.upper, name)}")
     lines.append("ENDATA")
-    return "\n".join(lines) + "\n", warnings
+    return "\n".join(lines) + "\n"
 
 
 def _identity_doc(model: LinearModel) -> ExportDoc:
     names = {v.name: v.name for v in model.variables}
     rows = {r.tag: r.tag for r in model.constraints}
-    return ExportDoc("", names, rows, ())
+    return ExportDoc("", names, rows)
 
 
 class TestParseLpDialect:
