@@ -21,7 +21,6 @@ of the checked assignment, empty without one. The engine registry
 
 from __future__ import annotations
 
-import math
 import shlex
 import subprocess
 import tempfile
@@ -32,7 +31,7 @@ from pathlib import Path
 
 from .lpio import FormatError, export_lp, export_mps, parse_solution_file
 from .milp import Exact, LinearModel
-from .solve import SolveError, SolveStatus
+from .solve import SolveError, SolveStatus, positive_finite
 
 TOLERANCE = Fraction(1, 10**6)
 
@@ -84,9 +83,10 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if not self.command.strip():
             raise BackendError("backend command is empty")
-        limit = self.time_limit
-        if isinstance(limit, bool) or not 0 < limit < math.inf:
-            raise BackendError(f"time limit must be positive and finite, got {limit!r}")
+        if not positive_finite(self.time_limit):
+            raise BackendError(
+                f"time limit must be positive and finite, got {self.time_limit!r}"
+            )
 
 
 def _substitute(command: str, mapping: dict[str, str]) -> list[str]:

@@ -122,7 +122,7 @@ class ProblemSpec:
             if self.gamma is None:
                 raise FormulationError("mqc requires gamma")
             gamma = _rational_param(self.gamma, "gamma")
-            if not 0 < gamma <= 1:
+            if not 0 < gamma.numerator <= gamma.denominator:
                 raise FormulationError(f"gamma {gamma} outside (0, 1]")
             object.__setattr__(self, "gamma", gamma)
             if self.k is not None:
@@ -281,7 +281,7 @@ def build_f3(
     HiGHS reads the matrix it is given.
     """
     gamma = _rational_param(gamma, "gamma")
-    if not 0 < gamma <= 1:
+    if not 0 < gamma.numerator <= gamma.denominator:
         raise FormulationError(f"gamma {gamma} outside (0, 1]")
     for name, value in (("lower", lower), ("upper", upper)):
         if isinstance(value, bool) or not isinstance(value, int):

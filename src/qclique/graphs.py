@@ -110,14 +110,15 @@ class Graph:
 
 
 def check_vertex_set(g: Graph, s: Iterable[int]) -> tuple[int, ...]:
-    """Validate a vertex set and return it sorted."""
+    """Validate a vertex set and return it sorted; an error names the
+    smallest offending vertex."""
     out = sorted(s)
-    for v in out:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range for n={g.n}")
-    for a, b in zip(out, out[1:]):
-        if a == b:
-            raise GraphError(f"duplicate vertex {a} in set")
+    if out and not (0 <= out[0] and out[-1] < g.n):
+        v = next(v for v in out if not 0 <= v < g.n)
+        raise GraphError(f"vertex {v} out of range for n={g.n}")
+    if len(set(out)) < len(out):
+        v = next(a for a, b in zip(out, out[1:]) if a == b)
+        raise GraphError(f"duplicate vertex {v} in set")
     return tuple(out)
 
 
@@ -329,13 +330,16 @@ def largest_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Largest connected component, vertices repacked to 0..m-1.
 
     Ties between equal-size components go to the one containing the smallest
-    original id. Returns the component graph and the old-id to new-id map.
+    original id. Returns the component graph and the old-id to new-id map; a
+    connected graph comes back as itself, so memos find it by identity.
     """
     if g.n == 0:
         return g, {}
     comps = components(g)
     best = max(comps, key=lambda c: (len(c), -c[0]))
     mapping = {old: new for new, old in enumerate(best)}
+    if len(best) == g.n:
+        return g, mapping
     kept = set(best)
     edges = tuple(
         sorted((mapping[i], mapping[j]) for i, j in g.edges if i in kept)

@@ -94,7 +94,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridCell:
-    """One solved (or failed) parameter cell, as persisted to CSV."""
+    """One solved (or failed) parameter cell, as persisted to CSV: elapsed
+    is kept as to_csv writes it, and values no row may hold raise GridError."""
 
     param: str
     status: str
@@ -102,6 +103,13 @@ class GridCell:
     connected: bool
     elapsed: float
     nodes: int
+
+    def __post_init__(self) -> None:
+        elapsed = float(f"{self.elapsed:.6f}")
+        low = min(self.objective, self.nodes, elapsed)
+        if self.status not in STATUSES or low < 0 or not elapsed < math.inf:
+            raise GridError(f"invalid grid cell: {self!r}")
+        object.__setattr__(self, "elapsed", elapsed)
 
     def to_csv(self) -> list[str]:
         return [
@@ -119,23 +127,9 @@ class GridCell:
         GridError."""
         try:
             param, status, objective, connected, elapsed, nodes = row
-            cell = cls(
-                param,
-                status,
-                int(objective),
-                connected == "true",
-                float(elapsed),
-                int(nodes),
-            )
-            if (
-                status not in STATUSES
-                or connected not in ("true", "false")
-                or min(cell.objective, cell.nodes) < 0
-                or not 0 <= cell.elapsed < math.inf
-            ):
-                raise ValueError
-            return cell
-        except ValueError:
+            flag = ("false", "true").index(connected) == 1  # else ValueError
+            return cls(param, status, int(objective), flag, float(elapsed), int(nodes))
+        except ValueError:  # GridError, from the cell's own checks, is one
             raise GridError(f"malformed grid CSV row: {row!r}") from None
 
 
@@ -205,15 +199,17 @@ def _solve_cell(
     g: Graph,
     spec: GridSpec,
     param,
+    label: str,
     clock: Callable[[], float],
     ceiling: int | None = None,
 ) -> GridCell:
-    """Run one cell; engine failures become an error-status cell.
+    """Run the cell of param, rendered as label; engine failures become an
+    error-status cell. elapsed runs from building the cell's ProblemSpec to
+    solve_problem's return.
 
     The CSV has no room for the failure, so its type, message and traceback
     go to this module's logger at WARNING.
     """
-    rendered = spec.render_param(param)
     limits = Limits(spec.time_limit, spec.memory_bytes, ceiling)
     started = clock()
     try:
@@ -222,20 +218,16 @@ def _solve_cell(
         logger.warning(
             "%s cell %s failed: %s: %s",
             spec.name,
-            rendered,
+            label,
             type(exc).__name__,
             exc,
             exc_info=True,
         )
-        cell = GridCell(rendered, ERROR_STATUS, 0, False, clock() - started, 0)
-    else:
-        elapsed = clock() - started
-        connected = bool(solution.vertices) and is_connected(g, solution.vertices)
-        status, nodes = solution.status.value, solution.nodes_explored
-        cell = GridCell(rendered, status, solution.objective, connected, elapsed, nodes)
-    # Round-trip through the CSV encoding so the summary aggregated now is
-    # bit-identical to one aggregated from the file later.
-    return GridCell.from_csv(cell.to_csv())
+        return GridCell(label, ERROR_STATUS, 0, False, clock() - started, 0)
+    elapsed = clock() - started
+    connected = bool(solution.vertices) and is_connected(g, solution.vertices)
+    status, nodes = solution.status.value, solution.nodes_explored
+    return GridCell(label, status, solution.objective, connected, elapsed, nodes)
 
 
 def run_grid(
@@ -272,7 +264,7 @@ def run_grid(
         raise GridError(f"{path} holds cells of {tag}, not of {mine}")
     labels = [spec.render_param(p) for p in params]
     done = {cell.param for cell in existing}
-    pending = [p for p, label in zip(params, labels) if label not in done]
+    pending = [(p, label) for p, label in zip(params, labels) if label not in done]
 
     if not pending:
         return aggregate(spec.name, existing)
@@ -286,10 +278,11 @@ def run_grid(
     for label in labels:
         below[label], low = low, min(low, optima.get(label, math.inf))
 
-    def solve(param) -> GridCell:
-        ceiling = min(below[spec.render_param(param)], solved)
+    def solve(item: tuple) -> GridCell:
+        param, label = item
+        ceiling = min(below[label], solved)
         capped = spec.family is Problem.MQC and ceiling < math.inf
-        return _solve_cell(core, spec, param, clock, ceiling if capped else None)
+        return _solve_cell(core, spec, param, label, clock, ceiling if capped else None)
 
     with path.open("a", newline="", encoding="utf-8") as handle:
         handle.truncate(intact)

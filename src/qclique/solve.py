@@ -45,6 +45,14 @@ class SolveStatus(str, Enum):
         return self.value
 
 
+def positive_finite(value) -> bool:
+    """True for a positive finite number other than a bool."""
+    try:
+        return type(value) is not bool and 0 < value < math.inf
+    except TypeError:  # not a number
+        return False
+
+
 @dataclass(frozen=True)
 class Limits:
     """Effort limits for a single solve: positive finite numbers (not bools),
@@ -59,9 +67,9 @@ class Limits:
     ceiling: int | None = None
 
     def __post_init__(self) -> None:
-        for what, value in (("time", self.time_seconds), ("memory", self.memory_bytes)):
-            if value is not None and (type(value) is bool or not 0 < value < math.inf):
-                raise SolveError(f"{what} limit must be positive and finite, got {value}")
+        for what, v in (("time", self.time_seconds), ("memory", self.memory_bytes)):
+            if v is not None and not positive_finite(v):
+                raise SolveError(f"{what} limit must be positive and finite, got {v!r}")
         ceiling = self.ceiling
         if ceiling is not None and (type(ceiling) is not int or ceiling < 0):
             raise SolveError(f"ceiling must be a nonnegative int, got {ceiling!r}")
@@ -274,31 +282,32 @@ def _greedy_sequence(g: Graph, connected: bool) -> list[int]:
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
-def _peeling_sequence(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """Sets, as (mask, size, induced edge count), obtained by repeatedly
-    removing a minimum-degree vertex; worked out once per graph for both
-    flavors of seeds."""
+def _peeling_sequence(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The order in which repeatedly removing a minimum-degree vertex takes
+    the vertices, and the induced edge count before each removal: the i-th
+    state, order[i:], has counts[i] edges. Worked out once per graph for
+    both flavors of seeds."""
     alive = set(range(g.n))
     degrees = {v: g.degree(v) for v in alive}
-    mask = (1 << g.n) - 1
     edges = g.m
-    states = []
+    order, counts = [], []
     while alive:
-        states.append((mask, len(alive), edges))
+        counts.append(edges)
         victim = min(alive, key=lambda v: (degrees[v], v))
+        order.append(victim)
         alive.remove(victim)
-        mask ^= 1 << victim
         edges -= degrees[victim]
         for w in g.neighbors[victim]:
             if w in alive:
                 degrees[w] -= 1
-    return tuple(states)
+    return tuple(order), tuple(counts)
 
 
 @dataclass(frozen=True)
 class _Seeds:
     """The warm-start candidates of one graph and connectedness flavor, as
-    (mask, size, edges).
+    (size, edges, sequence, start): the set sequence[start:start + size], a
+    slice of the greedy sequence or of the min-degree peeling order.
 
     prefixes holds the greedy sequence's prefixes, prefixes[i] the first
     i + 1 vertices; the connected greedy sequence grows through neighbors,
@@ -313,30 +322,32 @@ class _Seeds:
     suffix.
     """
 
-    prefixes: tuple[tuple[int, int, int], ...]
-    records: tuple[tuple[int, int, int], ...]
+    prefixes: tuple[tuple[int, int, tuple[int, ...], int], ...]
+    records: tuple[tuple[int, int, tuple[int, ...], int], ...]
 
 
 @lru_cache(maxsize=_MEMO_GRAPHS)
 def _seeds(g: Graph, connected: bool) -> _Seeds:
     """The gamma-free seeds of a graph, worked out once for every cell."""
     masks = g.masks
+    greedy = tuple(_greedy_sequence(g, connected))
     prefixes = []
     prefix, edges = 0, 0
-    for v in _greedy_sequence(g, connected):
+    for v in greedy:
         edges += (masks[v] & prefix).bit_count()
         prefix |= 1 << v
-        prefixes.append((prefix, len(prefixes) + 1, edges))
-    peels = [
-        c
-        for c in _peeling_sequence(g)
-        if not connected or reach(masks, c[0], c[0] & -c[0]) == c[0]
-    ]
+        prefixes.append((len(prefixes) + 1, edges, greedy, 0))
+    order, counts = _peeling_sequence(g)
+    peels, state = [], (1 << g.n) - 1
+    for i, edges in enumerate(counts):
+        if not connected or reach(masks, state, state & -state) == state:
+            peels.append((g.n - i, edges, order, i))
+        state ^= 1 << order[i]
     records = []
-    for candidate in sorted(prefixes + peels, key=lambda c: -c[1]):
+    for candidate in sorted(prefixes + peels, key=lambda c: -c[0]):
         if records:
-            _, top_size, top_edges = records[-1]
-            _, size, edges = candidate
+            top_size, top_edges = records[-1][:2]
+            size, edges = candidate[:2]
             # Skip a candidate no denser than the last record, comparing
             # edges / C(size, 2) by cross-multiplication.
             if top_size <= 1 or (
@@ -350,19 +361,23 @@ def _seeds(g: Graph, connected: bool) -> _Seeds:
 
 def _warm_threshold(g: Graph, gamma: Fraction, connected: bool) -> _Incumbent:
     records = _seeds(g, connected).records
-    first = bisect_left(records, True, key=lambda c: meets_density(c[2], c[1], gamma))
+    num, den = gamma.numerator, gamma.denominator
+    # meets_density in ints read once; a size of 1 passes as 0 >= 0.
+    first = bisect_left(
+        records, True, key=lambda c: 2 * c[1] * den >= num * c[0] * (c[0] - 1)
+    )
     if first == len(records):
         return 0, ()
-    mask, size, _ = records[first]
-    return size, mask_members(mask)
+    size, _, sequence, start = records[first]
+    return size, tuple(sorted(sequence[start : start + size]))
 
 
 def _warm_fixed(g: Graph, k: int, connected: bool) -> _Incumbent:
     prefixes = _seeds(g, connected).prefixes
     if len(prefixes) < k:
         return -1, None
-    mask, _, edges = prefixes[k - 1]
-    return edges, mask_members(mask)
+    _, edges, greedy, _ = prefixes[k - 1]
+    return edges, tuple(sorted(greedy[:k]))
 
 
 def branch_and_bound(
@@ -385,34 +400,31 @@ def branch_and_bound(
     ceiling = limits.ceiling
     top, nodes = ceiling, 0
     if spec.connected and ceiling is None:
-        free = _cell(g, spec, False, budget, None)
-        if is_connected(g, free.vertices):
-            return replace(free, elapsed=budget.elapsed())
-        if free.status is SolveStatus.OPTIMAL:
-            top = free.objective
-        nodes = free.nodes_explored
-    solution = _cell(g, spec, spec.connected, budget, top)
-    if ceiling is not None and solution.objective > ceiling:
-        raise SolveError(f"incumbent {solution.objective} exceeds the ceiling {ceiling}")
-    return replace(
-        solution,
-        elapsed=budget.elapsed(),
-        nodes_explored=nodes + solution.nodes_explored,
-    )
+        members, objective, status, nodes = _cell(g, spec, False, budget, None)
+        if is_connected(g, members):
+            return Solution(members, objective, status, budget.elapsed(), nodes)
+        if status is SolveStatus.OPTIMAL:
+            top = objective
+    members, objective, status, more = _cell(g, spec, spec.connected, budget, top)
+    if ceiling is not None and objective > ceiling:
+        raise SolveError(f"incumbent {objective} exceeds the ceiling {ceiling}")
+    return Solution(members, objective, status, budget.elapsed(), nodes + more)
 
 
 def _cell(
     g: Graph, spec: ProblemSpec, connected: bool, budget: _Budget, top: int | None
-) -> Solution:
-    """One pass of a cell, connected or not, stopped at top if given."""
+) -> tuple[tuple[int, ...], int, SolveStatus, int]:
+    """One pass of a cell, connected or not, stopped at top if given: its
+    vertices, objective, status and nodes explored."""
     if spec.problem is Problem.MQC:
         return _quasi_clique(g, spec.gamma, connected, budget, top)
-    return search(g, spec.k, connected, budget, _warm_fixed(g, spec.k, connected), top)
+    found = search(g, spec.k, connected, budget, _warm_fixed(g, spec.k, connected), top)
+    return found.vertices, found.objective, found.status, found.nodes_explored
 
 
 def _quasi_clique(
     g: Graph, gamma: Fraction, connected: bool, budget: _Budget, top: int | None
-) -> Solution:
+) -> tuple[tuple[int, ...], int, SolveStatus, int]:
     """The largest set that meets gamma (connected if asked), by decisions.
 
     The decision at size t is a search for a t-set with need(t) =
@@ -452,7 +464,7 @@ def _quasi_clique(
             if not found:
                 break
             best, members = best + 1, found
-    return Solution(members, best, status, nodes_explored=nodes)
+    return members, best, status, nodes
 
 
 def completion_bound(weights: Sequence[int], size: int, edges: int, take: int) -> int:

@@ -45,7 +45,7 @@ class TestBackendConfig:
 
     # An infinite limit would reach solve_external and die converting the
     # subprocess timeout; a NaN one would disable the kill.
-    @pytest.mark.parametrize("bad", [0, -2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0, -2.5, float("nan"), float("inf"), "5"])
     def test_time_limit_must_be_positive(self, bad):
         with pytest.raises(BackendError, match="time limit"):
             BackendConfig(command="solver", time_limit=bad)

@@ -12,6 +12,7 @@ from qclique.graphs import (
     Graph,
     GraphError,
     boundary_neighbors,
+    check_vertex_set,
     components,
     density,
     induced_edge_count,
@@ -202,6 +203,51 @@ class TestDensity:
         assert (d == 1) == (complete or size == 1)
 
 
+def reference_check_vertex_set(g: Graph, s) -> tuple[int, ...]:
+    """The per-vertex loop check_vertex_set replaced: every vertex against
+    the range, then every adjacent sorted pair for a repeat."""
+    out = sorted(s)
+    for v in out:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range for n={g.n}")
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise GraphError(f"duplicate vertex {a} in set")
+    return tuple(out)
+
+
+class TestCheckVertexSet:
+    @settings(max_examples=300)
+    @given(graphs(), st.data())
+    def test_matches_the_loop_version(self, g, data):
+        # Unsorted ids from below 0 to above n, repeats allowed.
+        s = data.draw(st.lists(st.integers(min_value=-3, max_value=g.n + 3)))
+        try:
+            expected = reference_check_vertex_set(g, s)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as caught:
+                check_vertex_set(g, s)
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+        else:
+            assert check_vertex_set(g, s) == expected
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ([2, 5, -1, 7, 2], "vertex -1 out of range for n=4"),
+            ([3, 9, 4, 1, 6], "vertex 4 out of range for n=4"),
+            ([3, 1, 3, 1], "duplicate vertex 1 in set"),
+        ],
+    )
+    def test_names_the_smallest_offender(self, s, message):
+        g = Graph.build(4, [(0, 1)])
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            check_vertex_set(g, s)
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            reference_check_vertex_set(g, s)
+
+
 class TestConnectivity:
     def test_path_connected(self, path3):
         assert is_connected(path3, [0, 1, 2])
@@ -300,7 +346,7 @@ class TestBoundaryNeighbors:
 class TestLargestComponent:
     def test_connected_graph_identity(self, triangle):
         sub, mapping = largest_component(triangle)
-        assert sub == triangle
+        assert sub is triangle
         assert mapping == {0: 0, 1: 1, 2: 2}
 
     def test_triangle_beats_isolated_edge(self):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import logging
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qclique import grid, solve
 from qclique.backend import BackendConfig
@@ -59,6 +62,7 @@ class TestGridSpec:
             {"memory_bytes": -1},
             {"time_limit": float("nan")},
             {"memory_bytes": float("inf")},
+            {"time_limit": "3"},
         ],
     )
     def test_limits_must_be_positive(self, kwargs):
@@ -350,6 +354,50 @@ class TestRunGrid:
         spec = GridSpec(name="triangle", family=Problem.DKS)
         with pytest.raises(GridError, match="header"):
             run_grid(triangle, spec, target)
+
+
+class TestCellGate:
+    """Fresh cells and cells read back from the CSV pass one gate, so a
+    fresh cell is the cell its row reads back as."""
+
+    @given(
+        status=st.sampled_from(sorted(grid.STATUSES)),
+        objective=st.integers(min_value=0),
+        connected=st.booleans(),
+        elapsed=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+        nodes=st.integers(min_value=0),
+    )
+    def test_a_fresh_cell_equals_its_row_read_back(
+        self, status, objective, connected, elapsed, nodes
+    ):
+        cell = GridCell("0.37", status, objective, connected, elapsed, nodes)
+        assert GridCell.from_csv(cell.to_csv()) == cell
+
+    def test_a_clock_running_backwards_is_refused(self, tmp_path, triangle):
+        class BackwardsClock:
+            def __init__(self) -> None:
+                self.now = 1000.0
+
+            def __call__(self) -> float:
+                self.now -= 0.5
+                return self.now
+
+        spec = GridSpec(name="triangle", family=Problem.DKS)
+        with pytest.raises(GridError, match="elapsed=-0.5"):
+            run_grid(triangle, spec, tmp_path / "grid.csv", clock=BackwardsClock())
+
+    @pytest.mark.parametrize(
+        "family, mode",
+        [(Problem.MQC, Connectivity.NONE), (Problem.DKS, Connectivity.CSTREE)],
+    )
+    def test_the_summary_now_is_the_summary_from_the_file(
+        self, tmp_path, two_k4s, family, mode
+    ):
+        path = tmp_path / "grid.csv"
+        spec = GridSpec(name="blocks", family=family, mode=mode)
+        row = run_grid(two_k4s, spec, path, clock=time.perf_counter)
+        assert row.runtime_mean > 0
+        assert vars(row) == vars(aggregate("blocks", read_cells(path)))
 
 
 class TestCeilings:

@@ -69,7 +69,7 @@ class TestLimits:
         assert limits.time_seconds == 3600.0
         assert limits.memory_bytes == 10 * 10**9
 
-    @pytest.mark.parametrize("bad", [0, -1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0, -1.5, float("nan"), float("inf"), "10"])
     def test_time_limit_must_be_positive(self, bad):
         with pytest.raises(SolveError, match="time limit"):
             Limits(time_seconds=bad)
@@ -78,7 +78,7 @@ class TestLimits:
         with pytest.raises(SolveError, match="memory limit"):
             Limits(memory_bytes=0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1"])
     def test_memory_limit_must_be_finite(self, bad):
         with pytest.raises(SolveError, match="memory limit .* finite"):
             Limits(memory_bytes=bad)
