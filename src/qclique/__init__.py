@@ -34,7 +34,6 @@ from .formulations import (
     build_certificate,
     build_f3,
     build_m1,
-    default_bounds,
     indicator_assignment,
     lazy_cuts,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "build_m1",
     "build_problem_model",
     "components",
-    "default_bounds",
     "density",
     "export_lp",
     "export_mps",

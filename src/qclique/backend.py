@@ -40,7 +40,7 @@ ENGINES = ("bnb", "brute", "milp")
 
 def check_engine(engine, names: tuple[str, ...] = ENGINES) -> None:
     """Reject an engine that is neither one of names nor a BackendConfig."""
-    if isinstance(engine, str) and engine not in names:
+    if engine not in names and not isinstance(engine, BackendConfig):
         raise SolveError(
             f"unknown engine {engine!r}: expected one of {names} "
             "or a BackendConfig"

@@ -3,10 +3,10 @@
 solve_problem routes a ProblemSpec to the right machinery: the
 combinatorial solvers, the cut-separation loop, the bundled HiGHS engine,
 or an external backend process - building the matching model (edge-count
-or threshold formulation plus the requested connectivity add-on, which
-reads its size constant from the base model) when a model-based engine is
-selected. Objectives are always recomputed from the graph, and vertex sets
-come back in ascending order.
+formulation, or threshold formulation over the sizes 1..n, plus the
+requested connectivity add-on, which reads its size constant from the base
+model) when a model-based engine is selected. Objectives are always
+recomputed from the graph, and vertex sets come back in ascending order.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .formulations import (
     add_mpr,
     build_f3,
     build_m1,
-    default_bounds,
 )
 from .graphs import Graph, induced_edge_count
 from .lazy import solve_lazy
@@ -50,8 +49,10 @@ def build_problem_model(
 ) -> tuple[LinearModel, VariableLayout]:
     """The MILP for a spec: base formulation plus its connectivity rows.
 
-    Cut separation has no static model, so LAZY mode is rejected here; use
-    solve_problem (or solve_lazy directly) for it.
+    The threshold model gets the size bounds (1, n): no tightening from
+    gamma or degrees is attempted. Cut separation has no static model, so
+    LAZY mode is rejected here; use solve_problem (or solve_lazy directly)
+    for it.
     """
     spec.validate_for(g)
     if spec.mode is Connectivity.LAZY:
@@ -59,7 +60,7 @@ def build_problem_model(
     if spec.problem is Problem.DKS:
         model, layout = build_m1(g, spec.k)
     else:
-        model, layout = build_f3(g, spec.gamma, *default_bounds(g, spec.gamma))
+        model, layout = build_f3(g, spec.gamma, 1, g.n)
     add = _ADD_ONS.get(spec.mode)
     return add(model, layout, g) if add else (model, layout)
 

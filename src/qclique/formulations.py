@@ -67,12 +67,26 @@ class FormulationError(ValueError):
     """Raised for invalid problem parameters or mismatched builder inputs."""
 
 
-def _rational_param(value, what: str) -> Fraction:
+def _check_gamma(value) -> Fraction:
+    """gamma as a Fraction in (0, 1]; anything else raises FormulationError."""
     try:
-        value = _rational(value, what)
+        gamma = _rational(value, "gamma")
     except ModelError as exc:
         raise FormulationError(str(exc)) from None
-    return Fraction(value) if type(value) is int else value
+    gamma = Fraction(gamma) if type(gamma) is int else gamma
+    if not 0 < gamma.numerator <= gamma.denominator:
+        raise FormulationError(f"gamma {gamma} outside (0, 1]")
+    return gamma
+
+
+def _check_k(k, n: int | None = None) -> None:
+    """Refuse a cardinality that is no integer >= 2, or above n when given."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise FormulationError(f"k must be an integer, got {k!r}")
+    if k < 2:
+        raise FormulationError(f"k must be at least 2, got {k}")
+    if n is not None and k > n:
+        raise FormulationError(f"k={k} exceeds vertex count {n}")
 
 
 class Problem(str, Enum):
@@ -105,7 +119,8 @@ class ProblemSpec:
     MQC carries an exact rational gamma in (0, 1]; DKS carries an integer
     k >= 2. Any mode other than NONE asks for the connected variant of the
     base problem. A spec has no size window: every engine searches all
-    sizes, and the threshold model takes default_bounds.
+    sizes, and build_problem_model gives the threshold model the size bounds
+    (1, n). gamma and k pass the same checks build_f3 and build_m1 run.
     """
 
     problem: Problem
@@ -121,10 +136,7 @@ class ProblemSpec:
         if self.problem is Problem.MQC:
             if self.gamma is None:
                 raise FormulationError("mqc requires gamma")
-            gamma = _rational_param(self.gamma, "gamma")
-            if not 0 < gamma.numerator <= gamma.denominator:
-                raise FormulationError(f"gamma {gamma} outside (0, 1]")
-            object.__setattr__(self, "gamma", gamma)
+            object.__setattr__(self, "gamma", _check_gamma(self.gamma))
             if self.k is not None:
                 raise FormulationError("mqc takes gamma, not k")
             if self.mode in (Connectivity.CFLOW, Connectivity.LAZY):
@@ -135,10 +147,7 @@ class ProblemSpec:
         else:
             if self.k is None:
                 raise FormulationError("dks requires k")
-            if isinstance(self.k, bool) or not isinstance(self.k, int):
-                raise FormulationError(f"k must be an integer, got {self.k!r}")
-            if self.k < 2:
-                raise FormulationError(f"k must be at least 2, got {self.k}")
+            _check_k(self.k)
             if self.gamma is not None:
                 raise FormulationError("dks takes k, not gamma")
             if self.mode is Connectivity.MPR:
@@ -166,8 +175,8 @@ class ProblemSpec:
 
     def validate_for(self, g: Graph) -> None:
         """Check the graph-dependent parts (sizes against n)."""
-        if self.problem is Problem.DKS and self.k > g.n:
-            raise FormulationError(f"k={self.k} exceeds vertex count {g.n}")
+        if self.problem is Problem.DKS:
+            _check_k(self.k, g.n)
 
 
 @dataclass(frozen=True)
@@ -242,12 +251,7 @@ def build_m1(g: Graph, k: int) -> tuple[LinearModel, VariableLayout]:
     cardinality row plus two cap rows per edge. The selection can never be
     empty (k >= 2), which the connectivity add-ons rely on.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise FormulationError(f"k must be an integer, got {k!r}")
-    if k < 2:
-        raise FormulationError(f"k must be at least 2, got {k}")
-    if k > g.n:
-        raise FormulationError(f"k={k} exceeds vertex count {g.n}")
+    _check_k(k, g.n)
     model, x, y = _base(g, {"formulation": "m1", "k": str(k)})
     model.set_objective({name: 1 for name in y.values()})
     model.add_constraint({name: 1 for name in x}, "=", k, "Eq1a")
@@ -280,9 +284,7 @@ def build_f3(
     every number of the model is an int: the exports write it exactly, and
     HiGHS reads the matrix it is given.
     """
-    gamma = _rational_param(gamma, "gamma")
-    if not 0 < gamma.numerator <= gamma.denominator:
-        raise FormulationError(f"gamma {gamma} outside (0, 1]")
+    gamma = _check_gamma(gamma)
     for name, value in (("lower", lower), ("upper", upper)):
         if isinstance(value, bool) or not isinstance(value, int):
             raise FormulationError(f"{name} bound must be an integer, got {value!r}")
@@ -321,25 +323,9 @@ def build_f3(
     return model, layout
 
 
-def default_bounds(g: Graph, gamma) -> tuple[int, int]:
-    """Size bounds of every threshold model built from a spec: (1, n).
-
-    No tightening from gamma or degrees is attempted; the parameter is kept
-    so callers need not special-case a future bound rule.
-    """
-    del gamma
-    return (1, g.n)
-
-
 def _require_base(
-    model: LinearModel,
-    layout: VariableLayout,
-    g: Graph,
-    kinds: tuple[str, ...],
-    op: str,
+    layout: VariableLayout, g: Graph, kinds: tuple[str, ...], op: str
 ) -> None:
-    if model.frozen:
-        raise FormulationError(f"{op}: model is frozen")
     if layout.connectivity is not Connectivity.NONE:
         raise FormulationError(
             f"{op}: model already carries {layout.connectivity.value} rows"
@@ -382,7 +368,7 @@ def add_mpr(
     as the deactivation constant; the per-edge bound rows cap |flow| by
     (u - 1) times the edge indicator.
     """
-    _require_base(model, layout, g, ("f3",), "add_mpr")
+    _require_base(layout, g, ("f3",), "add_mpr")
     u = layout.bounds[1]
     x = layout.x
     source = _source_rows(model, g, x, "c", "Eq3")
@@ -440,7 +426,7 @@ def add_cstree(
     rule out. u is k on the fixed-cardinality model and the upper size bound
     on the threshold model.
     """
-    _require_base(model, layout, g, ("m1", "f3"), "add_cstree")
+    _require_base(layout, g, ("m1", "f3"), "add_cstree")
     u = layout.k if layout.kind == "m1" else layout.bounds[1]
     arcs = oriented_arcs(g, rooted=True)
     root = g.n
@@ -531,7 +517,7 @@ def add_cflow(
     k is the model's cardinality; an empty selection is infeasible under these
     rows, which the base model already rules out.
     """
-    _require_base(model, layout, g, ("m1",), "add_cflow")
+    _require_base(layout, g, ("m1",), "add_cflow")
     k = layout.k
     source = _source_rows(model, g, layout.x, "s", "Eq6")
     arc_flow: dict[tuple[int, int], str] = {}

@@ -95,6 +95,12 @@ class Graph:
             out[j] |= 1 << i
         return tuple(out)
 
+    @cached_property
+    def _component(self) -> tuple["Graph | None", tuple[int, ...]]:
+        """largest_component's graph (None for this one) and kept ids, found
+        once per object."""
+        return _largest_component(self)
+
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
 
@@ -330,22 +336,30 @@ def largest_component(g: Graph) -> tuple[Graph, dict[int, int]]:
     """Largest connected component, vertices repacked to 0..m-1.
 
     Ties between equal-size components go to the one containing the smallest
-    original id. Returns the component graph and the old-id to new-id map; a
-    connected graph comes back as itself, so memos find it by identity.
+    original id. Returns the component graph and a fresh old-id to new-id
+    map. The component is found once per graph object and every call on it
+    returns that same object (a connected graph is its own), so solver memos
+    find it by identity.
     """
+    core, best = g._component
+    return g if core is None else core, {old: new for new, old in enumerate(best)}
+
+
+def _largest_component(g: Graph) -> tuple[Graph | None, tuple[int, ...]]:
+    """The component graph, or None when g is connected (a graph does not
+    hold itself), and the kept ids in ascending order."""
     if g.n == 0:
-        return g, {}
-    comps = components(g)
-    best = max(comps, key=lambda c: (len(c), -c[0]))
-    mapping = {old: new for new, old in enumerate(best)}
+        return None, ()
+    best = max(components(g), key=lambda c: (len(c), -c[0]))
     if len(best) == g.n:
-        return g, mapping
+        return None, best
+    mapping = {old: new for new, old in enumerate(best)}
     kept = set(best)
     edges = tuple(
         sorted((mapping[i], mapping[j]) for i, j in g.edges if i in kept)
     )
     labels = tuple(g.label(v) for v in best)
-    return Graph(len(best), edges, labels), mapping
+    return Graph(len(best), edges, labels), best
 
 
 def oriented_arcs(g: Graph, rooted: bool = False) -> tuple[tuple[int, int], ...]:

@@ -10,6 +10,9 @@ hold such a number.
 The LP dialect is the CPLEX-style section format (Maximize / Subject To /
 Bounds / Binaries / End); MPS output is free-format with OBJSENSE MAX and
 INTORG/INTEND markers. Only maximization models are supported on both sides.
+export_lp and export_mps return the text; each writes a variable name as
+sanitize_name(name, "v_") and a row tag as sanitize_name(tag, "c_"), and
+refuses one that comes out as another's or as "obj".
 
 parse_lp and parse_mps tokenize their format into one kind of column record
 (_Column states the binary and integer rules) and end in one assembly, so
@@ -19,7 +22,6 @@ both raise FormatError, never ModelError, for text that is no valid model.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -70,15 +72,6 @@ def sanitize_name(name: str, prefix: str) -> str:
     return cleaned
 
 
-@dataclass(frozen=True)
-class ExportDoc:
-    """Export text plus the name maps."""
-
-    text: str
-    var_names: dict[str, str]
-    row_names: dict[str, str]
-
-
 def _name_maps(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
     if not model.variables:
         raise FormatError("cannot export a model with no variables")
@@ -121,8 +114,8 @@ def _meta_lines(model: LinearModel, comment: str) -> list[str]:
     return lines
 
 
-def lp_document(model: LinearModel) -> ExportDoc:
-    """Render the model in LP format with full name maps."""
+def export_lp(model: LinearModel) -> str:
+    """The model as LP text."""
     var_names, row_names = _name_maps(model)
     lines = ["\\ linear model"]
     lines += _meta_lines(model, "\\")
@@ -156,15 +149,11 @@ def lp_document(model: LinearModel) -> ExportDoc:
         lines.append("Binaries")
         lines.extend(f" {name}" for name in binaries)
     lines.append("End")
-    return ExportDoc("\n".join(lines) + "\n", var_names, row_names)
+    return "\n".join(lines) + "\n"
 
 
-def export_lp(model: LinearModel) -> str:
-    return lp_document(model).text
-
-
-def mps_document(model: LinearModel) -> ExportDoc:
-    """Render the model in free MPS format with full name maps."""
+def export_mps(model: LinearModel) -> str:
+    """The model as free MPS text."""
     var_names, row_names = _name_maps(model)
     lines = ["* linear model"]
     lines += _meta_lines(model, "*")
@@ -220,11 +209,7 @@ def mps_document(model: LinearModel) -> ExportDoc:
         if var.upper is not None:
             lines.append(f" UP BND {name} {format_rational(var.upper, where)}")
     lines.append("ENDATA")
-    return ExportDoc("\n".join(lines) + "\n", var_names, row_names)
-
-
-def export_mps(model: LinearModel) -> str:
-    return mps_document(model).text
+    return "\n".join(lines) + "\n"
 
 
 class _Numbers(dict):
@@ -296,8 +281,8 @@ def _assemble(
     objective: dict[str, Exact],
     rows: dict[str, list],
 ) -> LinearModel:
-    """The frozen model of what a reader collected: the columns in reading
-    order, the objective, then the rows (name -> [terms, sense, rhs]).
+    """The model of what a reader collected: the columns in reading order,
+    the objective, then the rows (name -> [terms, sense, rhs]).
 
     Text that is no valid model, such as crossing bounds or a binary outside
     [0, 1], raises FormatError, never ModelError.
@@ -324,7 +309,7 @@ def _assemble(
             model.add_constraint(terms, sense, rhs, name)
     except ModelError as exc:
         raise FormatError(str(exc)) from exc
-    return model.freeze()
+    return model
 
 
 def _parse_expression(

@@ -1,7 +1,9 @@
 """Solver-agnostic MILP container with exact rational arithmetic.
 
 Models hold variables (binary or bounded continuous), sparse linear rows, and
-a maximization objective. Numbers are ints for whole values and Fractions
+a maximization objective. A model is plain mutable data with no sealed state:
+builders and the LP/MPS readers fill it, and the cut loop appends rows to the
+model it re-solves. Numbers are ints for whole values and Fractions
 otherwise (denominator above 1); the builders make only whole ones, and an
 int is far cheaper than a Fraction to build, compare and multiply.
 evaluate() is the ground-truth feasibility check used throughout the test
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class ModelError(ValueError):
@@ -86,28 +88,17 @@ SENSES = ("<=", ">=", "=")
 
 
 class LinearModel:
-    """Mutable while building; freeze() makes it immutable and shareable."""
+    """Variables in insertion order, tagged rows, and a maximization
+    objective. Variable names and row tags are unique, checked as each is
+    added; no variable or row is ever removed."""
 
     def __init__(self, metadata: Mapping[str, str] | None = None) -> None:
         self.variables: list[Variable] = []
         self.constraints: list[LinearConstraint] = []
         self.objective: dict[str, Exact] = {}
         self.metadata: dict[str, str] = dict(metadata or {})
-        self._index: dict[str, int] = {}
+        self._names: set[str] = set()
         self._tags: set[str] = set()
-        self._frozen = False
-
-    def freeze(self) -> "LinearModel":
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def _guard(self) -> None:
-        if self._frozen:
-            raise ModelError("model is frozen")
 
     def add_variable(
         self,
@@ -115,16 +106,13 @@ class LinearModel:
         kind: str = CONTINUOUS,
         lower: Number | None = None,
         upper: Number | None = None,
-    ) -> int:
-        """Register a variable and return its stable handle (insertion index).
-
-        Binary variables default to bounds [0, 1] and any explicit bounds must
-        stay within them.
+    ) -> None:
+        """Append a variable. Binary variables default to bounds [0, 1] and
+        any explicit bounds must stay within them.
         """
-        self._guard()
         if name.split() != [name]:  # empty, or holding any Unicode whitespace
             raise ModelError(f"invalid variable name {name!r}")
-        if name in self._index:
+        if name in self._names:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind not in (BINARY, CONTINUOUS):
             raise ModelError(f"unknown variable kind {kind!r}")
@@ -137,26 +125,13 @@ class LinearModel:
                 raise ModelError(f"binary {name} bounds [{lo}, {up}] outside [0, 1]")
         elif lo is not None and up is not None and lo > up:
             raise ModelError(f"{name} bounds cross: {lo} > {up}")
-        handle = len(self.variables)
         self.variables.append(Variable(name, kind, lo, up))
-        self._index[name] = handle
-        return handle
-
-    def variable(self, name: str) -> Variable:
-        try:
-            return self.variables[self._index[name]]
-        except KeyError:
-            raise ModelError(f"unknown variable {name!r}") from None
-
-    def handle(self, name: str) -> int:
-        if name not in self._index:
-            raise ModelError(f"unknown variable {name!r}")
-        return self._index[name]
+        self._names.add(name)
 
     def _check_terms(self, terms: Mapping[str, Number]) -> dict[str, Exact]:
         out: dict[str, Exact] = {}
         for name, coef in terms.items():
-            if name not in self._index:
+            if name not in self._names:
                 raise ModelError(f"unknown variable {name!r} in terms")
             value = _rational(coef, f"coefficient of {name}")
             if value != 0:
@@ -169,9 +144,8 @@ class LinearModel:
         sense: str,
         rhs: Number,
         tag: str,
-    ) -> int:
-        """Append a row; zero coefficients are dropped. Returns the row index."""
-        self._guard()
+    ) -> None:
+        """Append a row; zero coefficients are dropped."""
         if sense not in SENSES:
             raise ModelError(f"unknown sense {sense!r}")
         if tag.split() != [tag]:
@@ -183,11 +157,9 @@ class LinearModel:
         )
         self.constraints.append(row)
         self._tags.add(tag)
-        return len(self.constraints) - 1
 
     def set_objective(self, terms: Mapping[str, Number]) -> None:
         """Set the maximization objective (the only supported sense)."""
-        self._guard()
         self.objective = self._check_terms(terms)
 
     def evaluate(
@@ -252,6 +224,3 @@ class LinearModel:
             integral=integral,
             violations=tuple(violations),
         )
-
-    def binary_names(self) -> list[str]:
-        return [v.name for v in self.variables if v.kind == BINARY]

@@ -27,7 +27,6 @@ from qclique.formulations import (
     build_certificate,
     build_f3,
     build_m1,
-    default_bounds,
 )
 from qclique.graphs import Graph, induced_edge_count, is_connected
 from qclique.grid import GridSpec, run_grid
@@ -304,7 +303,7 @@ def test_criterion_4_model_size_audits(announce):
             1 + 2 * m + (1 + 2 * n + 2 * m),
         )
 
-        lower, upper = default_bounds(g, Fraction(1, 2))
+        lower, upper = 1, g.n
         model, layout = build_f3(g, Fraction(1, 2), lower, upper)
         expect(f"{tag} f3", model, n + m + (upper - lower + 1), 3 + 2 * m)
         model, layout = add_mpr(model, layout, g)

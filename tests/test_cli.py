@@ -19,6 +19,7 @@ from qclique.cli import (
 )
 from qclique.graphs import Graph, serialize_edge_list
 from qclique.lpio import parse_lp, parse_mps
+from qclique.milp import BINARY
 
 HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
 
@@ -520,7 +521,8 @@ class TestEmit:
         assert code == EXIT_SOLVED
         assert out.count("wrote") == 2
         assert len(parse_lp(lp_path.read_text(encoding="utf-8")).constraints) == 7
-        assert parse_mps(mps_path.read_text(encoding="utf-8")).binary_names()
+        parsed = parse_mps(mps_path.read_text(encoding="utf-8"))
+        assert any(var.kind == BINARY for var in parsed.variables)
 
     def test_requires_an_output_path(self, tmp_path, capsys, triangle):
         code = main(["emit", write_graph(tmp_path, triangle), "--k", "2"])
@@ -562,7 +564,7 @@ class TestEmit:
         )
         assert code == EXIT_SOLVED
         parsed = parse_mps(target.read_text(encoding="utf-8"))
-        assert parsed.binary_names()
+        assert any(var.kind == BINARY for var in parsed.variables)
         capsys.readouterr()
 
     def test_emit_rejects_lazy_mode(self, tmp_path, capsys, triangle):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sys
 import textwrap
 from dataclasses import replace
@@ -134,6 +135,15 @@ class TestSolveProblem:
     def test_unknown_engine_rejected(self, triangle):
         with pytest.raises(SolveError, match="unknown engine"):
             solve_problem(triangle, ProblemSpec.dks(2), engine="gurobi")
+
+    @pytest.mark.parametrize("engine", [5, None, 2.5, b"milp", ["milp"]])
+    def test_engine_of_another_type_rejected(self, two_k4s, engine):
+        # Neither a listed name nor a BackendConfig: refused before any
+        # solving, as an unknown name is.
+        spec = ProblemSpec.dks(3, mode=Connectivity.CFLOW)
+        message = re.escape(f"unknown engine {engine!r}")
+        with pytest.raises(SolveError, match=message):
+            solve_problem(two_k4s, spec, engine)
 
     def test_in_process_milp_reports_nodes(self, two_k4s):
         spec = ProblemSpec.dks(8, mode=Connectivity.CFLOW)

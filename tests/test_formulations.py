@@ -21,10 +21,10 @@ from qclique.formulations import (
     build_certificate,
     build_f3,
     build_m1,
-    default_bounds,
     indicator_assignment,
     lazy_cuts,
 )
+from qclique.driver import build_problem_model
 from qclique.graphs import Graph, is_connected
 from qclique.lpio import export_lp
 from qclique.milp import BINARY
@@ -112,13 +112,32 @@ class TestProblemSpec:
         with pytest.raises(FormulationError, match="exceeds vertex count"):
             ProblemSpec.dks(4).validate_for(triangle)
 
+    @pytest.mark.parametrize("k", [True, 2.0, "3", 1, 0, -2, 4])
+    def test_k_refused_as_build_m1_refuses_it(self, triangle, k):
+        with pytest.raises(FormulationError) as built:
+            build_m1(triangle, k)
+        with pytest.raises(FormulationError) as stated:
+            ProblemSpec.dks(k).validate_for(triangle)
+        assert str(stated.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "gamma", [Fraction(0), Fraction(3, 2), -1, 2, 0.5, True, "1/2"]
+    )
+    def test_gamma_refused_as_build_f3_refuses_it(self, triangle, gamma):
+        with pytest.raises(FormulationError) as built:
+            build_f3(triangle, gamma, 1, 3)
+        with pytest.raises(FormulationError) as stated:
+            ProblemSpec.mqc(gamma)
+        assert str(stated.value) == str(built.value)
+
 
 class TestBuildM1:
     def test_shapes_on_triangle(self, triangle):
         model, layout = build_m1(triangle, 2)
         assert len(model.variables) == 3 + 3
         assert len(model.constraints) == 1 + 2 * 3
-        assert model.binary_names() == ["x_0", "x_1", "x_2"]
+        binaries = [var.name for var in model.variables if var.kind == BINARY]
+        assert binaries == ["x_0", "x_1", "x_2"]
         assert layout.kind == "m1" and layout.k == 2
         assert model.metadata["formulation"] == "m1"
 
@@ -200,9 +219,13 @@ class TestBuildF3:
         assert report.feasible
         assert report.objective == 1
 
-    def test_default_bounds(self, triangle):
-        assert default_bounds(triangle, Fraction(1, 2)) == (1, 3)
-        assert default_bounds(Graph.build(1, []), Fraction(1)) == (1, 1)
+    def test_problem_model_bounds_are_one_to_n(self, triangle):
+        for g in (triangle, Graph.build(1, [])):
+            spec = ProblemSpec.mqc(Fraction(1, 2), mode=Connectivity.MPR)
+            model, layout = build_problem_model(g, spec)
+            assert layout.bounds == (1, g.n)
+            assert model.metadata["bounds"] == f"1_{g.n}"
+            assert sorted(layout.z) == list(range(1, g.n + 1))
 
     @given(graphs(min_n=1, max_n=8))
     @settings(max_examples=40, deadline=None)
@@ -270,12 +293,6 @@ class TestAddMpr:
     def test_double_add_rejected(self, path3):
         model, layout = add_mpr(*build_f3(path3, Fraction(1), 1, 3), path3)
         with pytest.raises(FormulationError, match="already carries"):
-            add_mpr(model, layout, path3)
-
-    def test_frozen_model_rejected(self, path3):
-        model, layout = build_f3(path3, Fraction(1), 1, 3)
-        model.freeze()
-        with pytest.raises(FormulationError, match="frozen"):
             add_mpr(model, layout, path3)
 
     def test_wrong_graph_rejected(self, path3, triangle):

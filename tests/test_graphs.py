@@ -371,6 +371,18 @@ class TestLargestComponent:
         sub, mapping = largest_component(Graph(0, ()))
         assert sub.n == 0 and mapping == {}
 
+    def test_component_found_once_per_graph_object(self):
+        g = Graph.build(5, [(0, 1), (1, 2), (3, 4)])
+        (sub, first), (again, second) = largest_component(g), largest_component(g)
+        assert sub is again
+        assert first == second == {0: 0, 1: 1, 2: 2}
+        first[0] = 9
+        assert largest_component(g)[1] == second
+        # An equal graph gets its own component object, with its own labels.
+        twin = Graph(5, g.edges, labels=tuple("abcde"))
+        assert twin == g and largest_component(twin)[0] is not sub
+        assert largest_component(twin)[0].labels == ("a", "b", "c")
+
     def test_labels_follow_vertices(self):
         g = Graph(4, ((2, 3),), labels=("a", "b", "c", "d"))
         sub, _ = largest_component(g)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 import time
 from fractions import Fraction
 
@@ -86,6 +87,12 @@ class TestGridSpec:
             run_grid(triangle, GridSpec("t", Problem.DKS, engine="bbn"), target)
         assert not target.exists()
 
+    @pytest.mark.parametrize("engine", [None, 5])
+    def test_engine_of_another_type_rejected(self, engine):
+        message = re.escape(f"unknown engine {engine!r}")
+        with pytest.raises(GridError, match=message):
+            GridSpec(name="x", family=Problem.DKS, engine=engine)
+
 
 class TestAggregate:
     def cell(self, status="optimal", connected=True, elapsed=1.0):
@@ -158,6 +165,27 @@ class TestRunGrid:
         row = run_grid(g, spec, tmp_path / "grid.csv", clock=FakeClock())
         assert row.cells == 1
         assert row.pct_disc == 0.0
+
+    def test_later_sweeps_reuse_the_component_object(self, tmp_path, monkeypatch):
+        # Every sweep of one disconnected input solves on the same component
+        # object, so the solver memos find it by identity.
+        g = Graph.build(7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6)])
+        seen = []
+        dispatch = grid.solve_problem
+
+        def recorded(core, *args):
+            seen.append(core)
+            return dispatch(core, *args)
+
+        monkeypatch.setattr(grid, "solve_problem", recorded)
+        _clear_memos()
+        spec = GridSpec(name="split", family=Problem.MQC)
+        run_grid(g, spec, tmp_path / "first.csv", clock=FakeClock())
+        misses = solve._ranking.cache_info().misses
+        run_grid(g, spec, tmp_path / "second.csv", clock=FakeClock())
+        assert solve._ranking.cache_info().misses == misses
+        assert len(seen) == 2 * 91
+        assert all(core is seen[0] for core in seen)
 
     def test_read_cells_takes_a_str_path(self, tmp_path, two_k4s):
         target = tmp_path / "grid.csv"

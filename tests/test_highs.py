@@ -15,7 +15,6 @@ from qclique.formulations import (
     add_mpr,
     build_f3,
     build_m1,
-    default_bounds,
 )
 from qclique.graphs import Graph, is_connected
 from qclique.highs import HighsError, main, solve_model
@@ -61,8 +60,7 @@ class TestSolveModel:
 
     def test_threshold_formulation_with_flow_rows(self, two_k4s):
         gamma = Fraction(3, 7)
-        lower, upper = default_bounds(two_k4s, gamma)
-        model, layout = build_f3(two_k4s, gamma, lower, upper)
+        model, layout = build_f3(two_k4s, gamma, 1, two_k4s.n)
         model, layout = add_mpr(model, layout, two_k4s)
         status, assignment, _ = solve_model(model)
         assert status is SolveStatus.OPTIMAL

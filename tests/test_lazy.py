@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import re
 import sys
 
 import pytest
@@ -66,6 +67,12 @@ class TestSolveLazy:
     def test_unknown_engine_rejected(self, path3):
         with pytest.raises(SolveError, match="unknown engine"):
             solve_lazy(path3, 2, engine="simplex")
+
+    @pytest.mark.parametrize("engine", [5, None])
+    def test_engine_of_another_type_rejected(self, path3, engine):
+        message = re.escape(f"unknown engine {engine!r}")
+        with pytest.raises(SolveError, match=message):
+            solve_lazy(path3, 2, engine=engine)
 
     @pytest.mark.parametrize("engine", ["bnb", "brute"])
     def test_engines_are_the_model_engines(self, path3, engine):

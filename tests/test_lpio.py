@@ -9,13 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclique.lpio import (
-    ExportDoc,
     FormatError,
     export_lp,
     export_mps,
     format_rational,
-    lp_document,
-    mps_document,
     parse_lp,
     parse_mps,
     parse_solution_file,
@@ -37,7 +34,7 @@ def pair_selection_model() -> LinearModel:
         m.add_constraint({f"y_{i}_{j}": 1, f"x_{i}": -1}, "<=", 0, f"left:{i}_{j}")
         m.add_constraint({f"y_{i}_{j}": 1, f"x_{j}": -1}, "<=", 0, f"right:{i}_{j}")
     m.set_objective({f"y_{i}_{j}": 1 for i, j in edges})
-    return m.freeze()
+    return m
 
 
 class TestFormatRational:
@@ -131,9 +128,13 @@ class TestExportLp:
         assert export_lp(pair_selection_model()) == export_lp(pair_selection_model())
 
     def test_name_maps_recorded(self):
-        doc = lp_document(pair_selection_model())
-        assert doc.row_names["left:0_1"] == "left_0_1"
-        assert doc.var_names["x_0"] == "x_0"
+        model = pair_selection_model()
+        var_names, row_names = name_maps(model)
+        assert row_names["left:0_1"] == "left_0_1"
+        assert var_names["x_0"] == "x_0"
+        text = export_lp(model)
+        assert " left_0_1: + 1 y_0_1 - 1 x_0 <= 0\n" in text
+        assert " left_0_1  " in export_mps(model)
 
     def test_free_and_unbounded_bounds(self):
         m = LinearModel()
@@ -187,7 +188,7 @@ class TestExportRefusals:
         m.add_variable("f", CONTINUOUS, 0, upper)
         m.add_constraint({"x": coef, "f": 1}, "<=", rhs, "c")
         m.set_objective({"x": 1})
-        return m.freeze()
+        return m
 
     @pytest.mark.parametrize("export", [export_lp, export_mps])
     @pytest.mark.parametrize(
@@ -253,14 +254,22 @@ def variable_signature(model: LinearModel, rename) -> dict:
     }
 
 
-def assert_equivalent(original: LinearModel, parsed: LinearModel, doc: ExportDoc):
-    vmap = doc.var_names
+def name_maps(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
+    """The names export_lp and export_mps write for each variable and row."""
+    return (
+        {v.name: sanitize_name(v.name, "v_") for v in model.variables},
+        {r.tag: sanitize_name(r.tag, "c_") for r in model.constraints},
+    )
+
+
+def assert_equivalent(original: LinearModel, parsed: LinearModel):
+    vmap, row_names = name_maps(original)
     assert variable_signature(original, lambda n: vmap[n]) == variable_signature(
         parsed, lambda n: n
     )
     assert len(original.constraints) == len(parsed.constraints)
     for row_a, row_b in zip(original.constraints, parsed.constraints):
-        assert doc.row_names[row_a.tag] == row_b.tag
+        assert row_names[row_a.tag] == row_b.tag
         assert {vmap[n]: c for n, c in row_a.terms.items()} == dict(row_b.terms)
         assert row_a.sense == row_b.sense
         assert row_a.rhs == row_b.rhs
@@ -270,13 +279,14 @@ def assert_equivalent(original: LinearModel, parsed: LinearModel, doc: ExportDoc
     assert original.metadata == parsed.metadata
 
 
-def mapped_violations(report, doc: ExportDoc):
+def mapped_violations(report, model: LinearModel):
+    var_names, row_names = name_maps(model)
     out = []
     for tag, excess in report.violations:
         if tag.startswith("bound:"):
-            out.append(("bound:" + doc.var_names[tag[6:]], excess))
+            out.append(("bound:" + var_names[tag[6:]], excess))
         else:
-            out.append((doc.row_names[tag], excess))
+            out.append((row_names[tag], excess))
     return sorted(out)
 
 
@@ -329,21 +339,19 @@ def models(draw, isolated=False):
         )
         sense = draw(st.sampled_from(["<=", ">=", "="]))
         model.add_constraint(terms, sense, draw(coefficients), f"Eq{index}:t")
-    return model.freeze()
+    return model
 
 
 class TestRoundTrip:
     @given(models())
     @settings(max_examples=60, deadline=None)
     def test_lp_structural(self, model):
-        doc = lp_document(model)
-        assert_equivalent(model, parse_lp(doc.text), doc)
+        assert_equivalent(model, parse_lp(export_lp(model)))
 
     @given(models())
     @settings(max_examples=60, deadline=None)
     def test_mps_structural(self, model):
-        doc = mps_document(model)
-        assert_equivalent(model, parse_mps(doc.text), doc)
+        assert_equivalent(model, parse_mps(export_mps(model)))
 
     @given(models(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -353,28 +361,23 @@ class TestRoundTrip:
             for v in model.variables
         }
         base = model.evaluate(assignment)
-        for doc, parser in (
-            (lp_document(model), parse_lp),
-            (mps_document(model), parse_mps),
-        ):
-            parsed = parser(doc.text)
+        var_names, _ = name_maps(model)
+        for export, parser in ((export_lp, parse_lp), (export_mps, parse_mps)):
+            parsed = parser(export(model))
             echoed = parsed.evaluate(
-                {doc.var_names[k]: v for k, v in assignment.items()}
+                {var_names[k]: v for k, v in assignment.items()}
             )
             assert echoed.objective == base.objective
             assert echoed.feasible == base.feasible
             assert echoed.integral == base.integral
-            assert mapped_violations(echoed, _identity_doc(parsed)) == (
-                mapped_violations(base, doc)
+            assert mapped_violations(echoed, parsed) == (
+                mapped_violations(base, model)
             )
 
     def test_pair_model_round_trips_both_formats(self):
         model = pair_selection_model()
-        for document, parser in (
-            (lp_document(model), parse_lp),
-            (mps_document(model), parse_mps),
-        ):
-            assert_equivalent(model, parser(document.text), document)
+        for export, parser in ((export_lp, parse_lp), (export_mps, parse_mps)):
+            assert_equivalent(model, parser(export(model)))
 
 
 class TestMpsColumns:
@@ -383,14 +386,13 @@ class TestMpsColumns:
     @given(models(isolated=True))
     @settings(max_examples=80, deadline=None)
     def test_matches_column_major_reference(self, model):
-        assert mps_document(model).text == reference_mps(model)
+        assert export_mps(model) == reference_mps(model)
 
 
 def reference_mps(model: LinearModel) -> str:
     """MPS text by the plain column-major scan: every row is searched for
     every column."""
-    doc = lp_document(model)
-    var_names, row_names = doc.var_names, doc.row_names
+    var_names, row_names = name_maps(model)
 
     lines = ["* linear model"]
     lines += [f"* meta {key}={value}" for key, value in model.metadata.items()]
@@ -436,12 +438,6 @@ def reference_mps(model: LinearModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _identity_doc(model: LinearModel) -> ExportDoc:
-    names = {v.name: v.name for v in model.variables}
-    rows = {r.tag: r.tag for r in model.constraints}
-    return ExportDoc("", names, rows)
-
-
 class TestParseLpDialect:
     def test_section_spellings_and_implicit_coefficients(self):
         text = (
@@ -457,8 +453,9 @@ class TestParseLpDialect:
             "End\n"
         )
         model = parse_lp(text)
-        assert model.variable("x").kind == BINARY
-        assert model.variable("y").upper == 2
+        x, y = model.variables
+        assert x.kind == BINARY
+        assert y.upper == 2
         assert model.constraints[0].sense == "<="
         assert model.constraints[0].terms == {"x": 1, "y": 1}
         assert model.constraints[1].tag == "r1"
@@ -595,8 +592,8 @@ class TestParseMpsDialect:
             " BV BND x\n"
             "ENDATA\n"
         )
-        model = parse_mps(text)
-        assert model.variable("x").kind == BINARY
+        (x,) = parse_mps(text).variables
+        assert x.kind == BINARY
 
 
 def lp_model_text(rows: str, bounds: str = "", binaries: str = "") -> str:
@@ -708,7 +705,7 @@ class TestReaderContract:
 
     def test_lp_binary_declared_free_reads_unit_bounds(self):
         model = parse_lp(lp_model_text(" c: x <= 1", " x free", " x"))
-        x = model.variable("x")
+        (x,) = model.variables
         assert (x.kind, x.lower, x.upper) == (BINARY, 0, 1)
 
 

@@ -20,14 +20,6 @@ def simple_model() -> LinearModel:
 
 
 class TestVariables:
-    def test_handles_are_insertion_indices(self):
-        m = LinearModel()
-        assert m.add_variable("x_0", BINARY) == 0
-        assert m.add_variable("x_1", BINARY) == 1
-        assert m.add_variable("y_0_1", CONTINUOUS, 0, 1) == 2
-        assert m.handle("y_0_1") == 2
-        assert m.variable("x_1").kind == BINARY
-
     def test_duplicate_name_rejected(self):
         m = LinearModel()
         m.add_variable("x_0", BINARY)
@@ -53,7 +45,7 @@ class TestVariables:
     def test_binary_defaults_to_unit_bounds(self):
         m = LinearModel()
         m.add_variable("x", BINARY)
-        var = m.variable("x")
+        (var,) = m.variables
         assert (var.lower, var.upper) == (0, 1)
 
     def test_binary_bounds_must_stay_within_unit(self):
@@ -82,8 +74,8 @@ class TestConstraints:
     def test_empty_terms_row_accepted(self):
         m = LinearModel()
         m.add_variable("x", BINARY)
-        idx = m.add_constraint({}, "=", 0, "void")
-        assert idx == 0
+        m.add_constraint({}, "=", 0, "void")
+        assert m.constraints[0].terms == {}
         report = m.evaluate({"x": 0})
         assert report.feasible
 
@@ -135,8 +127,8 @@ class TestConstraints:
         row = m.constraints[0]
         assert [type(v) for v in row.terms.values()] == [int, Fraction]
         assert type(row.rhs) is int and row.rhs == 5
-        assert type(m.variable("y").lower) is int and m.variable("y").lower == -2
-        x = m.variable("x")
+        x, y = m.variables
+        assert type(y.lower) is int and y.lower == -2
         assert [type(x.lower), type(x.upper)] == [int, int]
         assert type(m.evaluate({"x": 1, "y": Fraction(3)}).objective) is int
 
@@ -144,16 +136,6 @@ class TestConstraints:
         m = simple_model()
         with pytest.raises(ModelError, match="sense"):
             m.add_constraint({"x": 1}, "<", 1, "strict")
-
-    def test_freeze_blocks_mutation(self):
-        m = simple_model().freeze()
-        assert m.frozen
-        with pytest.raises(ModelError, match="frozen"):
-            m.add_variable("y", BINARY)
-        with pytest.raises(ModelError, match="frozen"):
-            m.add_constraint({"x": 1}, "<=", 2, "other")
-        with pytest.raises(ModelError, match="frozen"):
-            m.set_objective({"x": 2})
 
 
 class TestEvaluate:
@@ -267,10 +249,3 @@ class TestObjective:
         m.add_variable("x", BINARY)
         with pytest.raises(ModelError, match="unknown variable"):
             m.set_objective({"w": 1})
-
-    def test_binary_names_in_insertion_order(self):
-        m = LinearModel()
-        m.add_variable("b_0", BINARY)
-        m.add_variable("f", CONTINUOUS, 0, None)
-        m.add_variable("b_1", BINARY)
-        assert m.binary_names() == ["b_0", "b_1"]
