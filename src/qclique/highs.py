@@ -7,7 +7,8 @@ back exact: an int for each whole float HiGHS reports and the float's binary
 Fraction otherwise. The caller validates them; they are never trusted.
 
 The module doubles as a command-line solver so it can serve as an external
-backend process:
+backend process. It reads a .mps file with parse_mps and any other with
+parse_lp, so only what export_mps or export_lp writes:
 
     python -m qclique.highs MODEL.lp OUT.sol [TIME_LIMIT_SECONDS]
 
@@ -112,20 +113,18 @@ def solve_model(
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m qclique.highs",
-        description="Solve an LP/MPS model file and write a solution file.",
+        description="Solve an LP/MPS model file and write a solution file. The "
+        "file must be as qclique.lpio's export_lp or export_mps writes it.",
     )
-    parser.add_argument("model", help="model file (.lp or .mps)")
+    parser.add_argument("model", help="model file (.mps for MPS, else LP)")
     parser.add_argument("solution", help="output solution file")
     parser.add_argument(
         "timelimit", nargs="?", type=float, default=None, help="seconds"
     )
     args = parser.parse_args(argv)
 
-    text = Path(args.model).read_text(encoding="utf-8")
-    if args.model.lower().endswith(".mps"):
-        model = parse_mps(text)
-    else:
-        model = parse_lp(text)
+    parse = parse_mps if args.model.lower().endswith(".mps") else parse_lp
+    model = parse(Path(args.model).read_text(encoding="utf-8"))
     status, assignment, nodes = solve_model(model, time_limit=args.timelimit)
 
     if status is SolveStatus.INFEASIBLE:

@@ -1,4 +1,4 @@
-"""LP and MPS writers, companion readers, and solution-file parsing.
+"""LP and MPS writers, their readers, and solution-file parsing.
 
 The writers are deterministic: the same model always yields the same bytes,
 and re-exporting a parsed export reproduces those bytes for models produced
@@ -7,25 +7,36 @@ decimal; a number with no terminating decimal form (such as 1/3) raises
 FormatError. The builders make only ints, so only a hand-built model can
 hold such a number.
 
-The LP dialect is the CPLEX-style section format (Maximize / Subject To /
-Bounds / Binaries / End); MPS output is free-format with OBJSENSE MAX and
-INTORG/INTEND markers. Only maximization models are supported on both sides.
-export_lp and export_mps return the text; each writes a variable name as
+export_lp writes the CPLEX-style LP format and export_mps free-format MPS,
+both for maximization only. Each returns the text, writes a variable name as
 sanitize_name(name, "v_") and a row tag as sanitize_name(tag, "c_"), and
-refuses one that comes out as another's or as "obj".
+refuses one that comes out as another's, as "obj" or as an LP heading, and a
+metadata value that would not read back as itself.
 
-parse_lp and parse_mps tokenize their format into one kind of column record
-(_Column states the binary and integer rules) and end in one assembly, so
-both raise FormatError, never ModelError, for text that is no valid model.
+parse_lp and parse_mps read exactly that grammar. They raise FormatError,
+never ModelError, for any other text and for text that is no valid model.
+Comment lines ("\\" or "*" first) may sit anywhere; "meta key=value" ones
+hold the metadata. Every other line is a fixed line of the format, in
+order, or a data line indented by a space:
+
+- LP: Maximize, one "obj: terms" line; Subject To, a "name: terms sense rhs"
+  line per row; optional Bounds, with "name free", "name >= lo" or
+  "lo <= name <= up" (lo may be -inf); optional Binaries, a name a line;
+  End. Terms are "+|- number name" triples.
+- MPS: NAME model; OBJSENSE; MAX; ROWS, the N row first; COLUMNS, "column
+  row value" entries, a column's together, INTORG/INTEND markers around the
+  binaries; RHS, one "RHS row value" per row; BOUNDS, for each column in
+  order FR, MI or LO, then an optional UP, all with BND; ENDATA.
 """
 
 from __future__ import annotations
 
 import string
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .milp import BINARY, CONTINUOUS, Exact, LinearModel, ModelError, _rational
+from .milp import BINARY, CONTINUOUS, SENSES, Exact, LinearModel, ModelError, _rational
 
 
 class FormatError(ValueError):
@@ -58,6 +69,7 @@ def format_rational(q: Exact, where: str) -> str:
 
 _NAME_CHARS = set(string.ascii_letters + string.digits + "_.")
 _BAD_LEADS = set(string.digits + ".eE")
+_LP_HEADINGS = ("Maximize", "Subject To", "Bounds", "Binaries", "End")
 
 
 def sanitize_name(name: str, prefix: str) -> str:
@@ -75,22 +87,19 @@ def sanitize_name(name: str, prefix: str) -> str:
 def _name_maps(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
     if not model.variables:
         raise FormatError("cannot export a model with no variables")
-    var_names: dict[str, str] = {}
-    used: set[str] = {"obj"}
-    for var in model.variables:
-        mapped = sanitize_name(var.name, "v_")
-        if mapped in used:
-            raise FormatError(f"sanitized variable name collision at {var.name!r}")
-        used.add(mapped)
-        var_names[var.name] = mapped
-    row_names: dict[str, str] = {}
-    for row in model.constraints:
-        mapped = sanitize_name(row.tag, "c_")
-        if mapped in used:
-            raise FormatError(f"sanitized row name collision at {row.tag!r}")
-        used.add(mapped)
-        row_names[row.tag] = mapped
-    return var_names, row_names
+    used = {"obj", *_LP_HEADINGS}
+
+    def written(names: list[str], prefix: str, what: str) -> dict[str, str]:
+        out = {}
+        for name in names:
+            out[name] = mapped = sanitize_name(name, prefix)
+            if mapped in used:
+                raise FormatError(f"sanitized {what} name collision at {name!r}")
+            used.add(mapped)
+        return out
+
+    var_names = written([v.name for v in model.variables], "v_", "variable")
+    return var_names, written([r.tag for r in model.constraints], "c_", "row")
 
 
 def _terms(terms: Mapping[str, Exact], names: dict[str, str], where: str) -> str:
@@ -108,9 +117,10 @@ def _meta_lines(model: LinearModel, comment: str) -> list[str]:
     for key, value in model.metadata.items():
         if "=" in key or any(ch.isspace() for ch in key):
             raise FormatError(f"metadata key {key!r} not representable")
-        if "\n" in value:
-            raise FormatError(f"metadata value for {key!r} contains newline")
-        lines.append(f"{comment} meta {key}={value}")
+        line = f"{comment} meta {key}={value}"
+        if line.splitlines() != [line] or value != value.rstrip():  # see _read_meta
+            raise FormatError(f"metadata value for {key!r} would not read back")
+        lines.append(line)
     return lines
 
 
@@ -119,8 +129,7 @@ def export_lp(model: LinearModel) -> str:
     var_names, row_names = _name_maps(model)
     lines = ["\\ linear model"]
     lines += _meta_lines(model, "\\")
-    lines.append("Maximize")
-    lines.append(f" obj: {_terms(model.objective, var_names, 'objective')}")
+    lines += ["Maximize", f" obj: {_terms(model.objective, var_names, 'objective')}"]
     lines.append("Subject To")
     for row in model.constraints:
         rname = row_names[row.tag]
@@ -157,11 +166,7 @@ def export_mps(model: LinearModel) -> str:
     var_names, row_names = _name_maps(model)
     lines = ["* linear model"]
     lines += _meta_lines(model, "*")
-    lines.append("NAME model")
-    lines.append("OBJSENSE")
-    lines.append("    MAX")
-    lines.append("ROWS")
-    lines.append(" N obj")
+    lines += ["NAME model", "OBJSENSE", "    MAX", "ROWS", " N obj"]
     sense_code = {"<=": "L", ">=": "G", "=": "E"}
     for row in model.constraints:
         lines.append(f" {sense_code[row.sense]} {row_names[row.tag]}")
@@ -217,7 +222,7 @@ class _Numbers(dict):
     that is no number.
 
     Each distinct token is converted once; readers keep one per call, since
-    model text repeats a handful of coefficients and every variable name.
+    model text repeats a handful of coefficients.
     """
 
     def __missing__(self, token: str) -> Exact | None:
@@ -235,35 +240,31 @@ class _Numbers(dict):
         return value
 
 
-_INTORG = "intorg"
+_MPS_FRAME = ("NAME model", "OBJSENSE", "    MAX", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA")
+_ROW_CODES = {"N": None, "L": "<=", "G": ">=", "E": "="}
+_BOUND_TOKENS = {"FR": 3, "MI": 3, "LO": 4, "UP": 4}
 
 
+@dataclass(slots=True)
 class _Column:
-    """A column as a reader collects it: its bounds as the text sets them
-    (None for infinite) and its kind.
+    """A column as a reader collects it: its bounds (None for infinite),
+    [0, inf) until a bound line sets them, and its kind."""
 
-    CONTINUOUS takes its bounds as they are. BINARY, an LP Binaries entry,
-    reads an infinite side as 0 or 1. _INTORG, an MPS column inside an
-    INTORG block or with a BV, UI or LI bound, is [0, 1] while no bound line
-    names it; otherwise both its sides must be finite and inside [0, 1], as
-    general integers are not supported.
-    """
-
-    __slots__ = ("lower", "upper", "kind", "bounded")
-
-    def __init__(self) -> None:
-        self.lower: Exact | None = 0
-        self.upper: Exact | None = None
-        self.kind = CONTINUOUS
-        self.bounded = False  # set by every MPS bound line; read for _INTORG
+    lower: Exact | None = 0
+    upper: Exact | None = None
+    kind: str = CONTINUOUS
 
 
-class _Columns(dict):
-    """Column name -> _Column, made at its first mention: reading order."""
-
-    def __missing__(self, name: str) -> _Column:
-        column = self[name] = _Column()
-        return column
+def _column(columns: dict[str, _Column], name: str, where: str) -> _Column:
+    """The column called name, made at its first mention, so that columns
+    keep reading order. A name no writer writes (one that sanitize_name
+    would change) is refused."""
+    column = columns.get(name)
+    if column is None:
+        if sanitize_name(name, "_") != name:
+            raise FormatError(f"{where}: invalid variable name {name!r}")
+        column = columns[name] = _Column()
+    return column
 
 
 def _read_meta(line: str, mark: str, metadata: dict[str, str]) -> None:
@@ -275,356 +276,204 @@ def _read_meta(line: str, mark: str, metadata: dict[str, str]) -> None:
         metadata[key.strip()] = value
 
 
+def _data_lines(
+    text: str, mark: str, frame: tuple[str, ...], optional: tuple[str, ...], metadata: dict
+) -> Iterator[tuple[str, str, list[str]]]:
+    """(frame line, "line N", tokens) for each data line of model text.
+
+    A line starting with mark is a comment, read by _read_meta. Every other
+    line is a line of frame, in frame's order, or a data line under the
+    latest one: indented by a space and not blank. Frame lines in optional
+    may be left out; the last one ends the text.
+    """
+    at = -1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}"
+        if line.startswith(mark):
+            _read_meta(line, mark, metadata)
+        elif line in frame:
+            step = frame.index(line)
+            if step <= at or any(f not in optional for f in frame[at + 1 : step]):
+                raise FormatError(f"{where}: expected {frame[at + 1]!r}, not {line!r}")
+            at = step
+        elif line[:1] == " " and not line.isspace() and 0 <= at < len(frame) - 1:
+            yield frame[at], where, line.split()
+        else:
+            raise FormatError(f"{where}: unexpected line {line!r}")
+    if at != len(frame) - 1:
+        raise FormatError(f"no {frame[-1]!r} line")
+
+
+def _lp_terms(
+    tokens: list[str], where: str, numbers: _Numbers, columns: dict[str, _Column]
+) -> dict[str, Exact]:
+    """The terms of "+|- number name" triples. A name with a nonzero
+    coefficient makes its column, so LP columns come in order of first use."""
+    if len(tokens) % 3:
+        raise FormatError(f"{where}: terms are not sign, number, name triples")
+    terms: dict[str, Exact] = {}
+    for sign, number, name in zip(tokens[::3], tokens[1::3], tokens[2::3]):
+        value = numbers.parse(number, where)
+        if sign == "-":
+            value = -value
+        elif sign != "+":
+            raise FormatError(f"{where}: missing + or - before {sign!r}")
+        if name in terms:
+            raise FormatError(f"{where}: {name!r} appears twice")
+        terms[name] = value
+        if value:
+            _column(columns, name, where)
+    return terms
+
+
 def _assemble(
-    metadata: dict[str, str],
-    columns: dict[str, _Column],
-    objective: dict[str, Exact],
-    rows: dict[str, list],
+    metadata: dict, columns: dict[str, _Column], objective: dict, rows: list[tuple[str, list]]
 ) -> LinearModel:
     """The model of what a reader collected: the columns in reading order,
-    the objective, then the rows (name -> [terms, sense, rhs]).
+    the objective, then the rows as (name, [terms, sense, rhs]).
 
-    Text that is no valid model, such as crossing bounds or a binary outside
-    [0, 1], raises FormatError, never ModelError.
+    Text that is no valid model, such as crossing bounds, a repeated row
+    name or a binary with a bound infinite or outside [0, 1], raises
+    FormatError, never ModelError.
     """
     model = LinearModel(metadata)
     try:
         for name, column in columns.items():
-            lower, upper = column.lower, column.upper
-            if column.kind == BINARY:
-                lower = 0 if lower is None else lower
-                upper = 1 if upper is None else upper
-            elif column.kind == _INTORG:
-                if not column.bounded:
-                    lower, upper = 0, 1
-                elif lower is None or upper is None or not 0 <= lower <= upper <= 1:
-                    raise FormatError(
-                        f"integer variable {name!r} with bounds outside [0, 1]: "
-                        "general integers not supported"
-                    )
-            kind = CONTINUOUS if column.kind == CONTINUOUS else BINARY
-            model.add_variable(name, kind, lower, upper)
+            if column.kind == BINARY and (column.lower is None or column.upper is None):
+                raise FormatError(f"binary {name} has an infinite bound")
+            model.add_variable(name, column.kind, column.lower, column.upper)
         model.set_objective(objective)
-        for name, (terms, sense, rhs) in rows.items():
+        for name, (terms, sense, rhs) in rows:
             model.add_constraint(terms, sense, rhs, name)
     except ModelError as exc:
         raise FormatError(str(exc)) from exc
     return model
 
 
-def _parse_expression(
-    tokens: list[str], where: str, numbers: _Numbers
-) -> dict[str, Exact]:
-    """Parse "[sign] [coef] name" sequences into a term map.
-
-    Every term after the first must follow a + or - sign, and a name may not
-    start with a digit or a period, so malformed numbers such as 1/0 are
-    rejected rather than read as variable names.
-    """
-    terms: dict[str, Exact] = {}
-    sign = 1
-    coef: Exact | None = None
-    signed = True
-    for token in tokens:
-        if token == "+":
-            signed = True
-            continue
-        if token == "-":
-            sign = -sign
-            signed = True
-            continue
-        if not signed:
-            raise FormatError(f"{where}: missing + or - before {token!r}")
-        number = numbers[token]
-        if number is not None:
-            if coef is not None:
-                raise FormatError(f"{where}: two consecutive numbers near {token!r}")
-            coef = number
-            continue
-        if token[0].isdigit() or token[0] == ".":
-            raise FormatError(f"{where}: cannot parse number {token!r}")
-        value = sign if coef is None else sign * coef
-        terms[token] = terms.get(token, 0) + value
-        sign = 1
-        coef = None
-        signed = False
-    if coef is not None:
-        raise FormatError(f"{where}: trailing number without variable")
-    return {name: value for name, value in terms.items() if value != 0}
-
-
-_LP_SECTIONS = {
-    "maximize": "objective",
-    "max": "objective",
-    "minimize": "minimize",
-    "min": "minimize",
-    "subject to": "rows",
-    "such that": "rows",
-    "st": "rows",
-    "s.t.": "rows",
-    "bounds": "bounds",
-    "bound": "bounds",
-    "binaries": "binaries",
-    "binary": "binaries",
-    "bin": "binaries",
-    "generals": "general",
-    "general": "general",
-    "gen": "general",
-    "end": "end",
-}
-
-
 def parse_lp(text: str) -> LinearModel:
-    """Parse LP text produced by export_lp (plus mild dialect slack).
+    """Parse LP text in the grammar export_lp writes; refuse any other.
 
-    LP text carries no column order: columns come in order of first use.
+    LP text carries no column order: columns come in order of first use in
+    the objective, the rows, Bounds and Binaries.
     """
     numbers = _Numbers()
     metadata: dict[str, str] = {}
-    section_lines: dict[str, list[str]] = {
-        "objective": [],
-        "rows": [],
-        "bounds": [],
-        "binaries": [],
-    }
-    section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped[0] == "\\":
-            _read_meta(stripped, "\\", metadata)
-            continue
-        keyword = _LP_SECTIONS.get(stripped.lower())
-        if keyword == "minimize":
-            raise FormatError(f"line {lineno}: only maximization models supported")
-        if keyword == "general":
-            raise FormatError(f"line {lineno}: general integer variables not supported")
-        if keyword == "end":
-            break
-        if keyword is not None:
-            section = keyword
-            continue
-        if section is None:
-            raise FormatError(f"line {lineno}: content before Maximize: {raw!r}")
-        section_lines[section].append(stripped)
-
-    # Objective: optional "name:" prefix, then a linear expression.
-    obj_tokens = " ".join(section_lines["objective"]).replace(":", " : ").split()
-    if ":" in obj_tokens:
-        cut = obj_tokens.index(":")
-        if cut != 1:
-            raise FormatError("objective: malformed name prefix")
-        obj_tokens = obj_tokens[cut + 1 :]
-    objective = _parse_expression(obj_tokens, "objective", numbers)
-
-    parsed: list[tuple[str | None, list]] = []
-    row_tokens = " ".join(section_lines["rows"]).replace(":", " : ").split()
-    i = 0
-    while i < len(row_tokens):
-        name = None
-        if i + 1 < len(row_tokens) and row_tokens[i + 1] == ":":
-            name = row_tokens[i]
-            i += 2
-        where = f"row {name or len(parsed)}"
-        start = i
-        while i < len(row_tokens) and row_tokens[i] not in ("<=", ">=", "=", "<", ">"):
-            if row_tokens[i] == ":":
-                raise FormatError(f"{where}: unexpected ':'")
-            i += 1
-        if i >= len(row_tokens) - 1:
-            raise FormatError("rows: missing sense or right-hand side")
-        sense = {"<": "<=", ">": ">="}.get(row_tokens[i], row_tokens[i])
-        rhs = numbers.parse(row_tokens[i + 1], f"{where} rhs")
-        terms = _parse_expression(row_tokens[start:i], where, numbers)
-        parsed.append((name, [terms, sense, rhs]))
-        i += 2
-
-    # An unnamed row is "r<position>", or that with "_" appended until no row
-    # of the text has the name.
-    taken = {name for name, _ in parsed}
-    rows: dict[str, list] = {}
-    for position, (name, row) in enumerate(parsed):
-        if name is None:
-            name = f"r{position}"
-            while name in taken:
-                name += "_"
-            taken.add(name)
-        elif name in rows:
-            raise FormatError(f"duplicate row {name!r}")
-        rows[name] = row
-
-    columns = _Columns()
-
-    def column(name: str) -> _Column:
-        if numbers[name] is not None or name in ("<=", ">=", "=", ":"):
-            raise FormatError(f"invalid variable name {name!r}")
-        return columns[name]
-
-    for name in objective:
-        column(name)
-    for terms, _, _ in rows.values():
-        for name in terms:
-            column(name)
-
-    def bound(token: str) -> Exact | None:
-        if token.lower().lstrip("+-") in ("inf", "infinity"):
-            return None
-        return numbers.parse(token, "bounds")
-
-    for line in section_lines["bounds"]:
-        tokens = line.split()
-        if len(tokens) == 2 and tokens[1].lower() == "free":
-            col = column(tokens[0])
-            col.lower = col.upper = None
-        elif len(tokens) == 5 and tokens[1] == "<=" and tokens[3] == "<=":
-            col = column(tokens[2])
-            col.lower, col.upper = bound(tokens[0]), bound(tokens[4])
-        elif len(tokens) == 3 and tokens[1] in ("<=", ">=", "="):
-            col, value = column(tokens[0]), bound(tokens[2])
-            if tokens[1] == "<=":
-                col.upper = value
-            elif tokens[1] == ">=":
-                col.lower = value
+    columns: dict[str, _Column] = {}
+    objective: dict[str, Exact] | None = None
+    rows: list[tuple[str, list]] = []
+    bounded: set[str] = set()
+    lines = _data_lines(text, "\\", _LP_HEADINGS, ("Bounds", "Binaries"), metadata)
+    for heading, where, tokens in lines:
+        if heading == "Maximize":
+            if objective is not None or tokens[0] != "obj:":
+                raise FormatError(f"{where}: expected the one 'obj:' line")
+            objective = _lp_terms(tokens[1:], "objective", numbers, columns)
+        elif heading == "Subject To":
+            if len(tokens) < 3 or tokens[0][-1] != ":" or tokens[-2] not in SENSES:
+                raise FormatError(f"{where}: expected 'name: terms sense rhs'")
+            name = tokens[0][:-1]
+            terms = _lp_terms(tokens[1:-2], f"row {name}", numbers, columns)
+            rhs = numbers.parse(tokens[-1], f"row {name} rhs")
+            rows.append((name, [terms, tokens[-2], rhs]))
+        elif heading == "Bounds":
+            if len(tokens) == 2 and tokens[1] == "free":
+                name, lower, upper = tokens[0], None, None
+            elif len(tokens) == 3 and tokens[1] == ">=":
+                name, lower, upper = tokens[0], numbers.parse(tokens[2], "bounds"), None
+            elif len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
+                name, upper = tokens[2], numbers.parse(tokens[4], "bounds")
+                lower = None if tokens[0] == "-inf" else numbers.parse(tokens[0], "bounds")
             else:
-                col.lower = col.upper = value
-        else:
-            raise FormatError(f"bounds: cannot parse line {line!r}")
-
-    for line in section_lines["binaries"]:
-        for name in line.split():
-            column(name).kind = BINARY
-
+                raise FormatError(f"{where}: malformed bound line")
+            if name in bounded:
+                raise FormatError(f"{where}: second bound line for {name!r}")
+            bounded.add(name)
+            column = _column(columns, name, where)
+            column.lower, column.upper = lower, upper
+        else:  # Binaries; one named by no bound line is in [0, 1]
+            if len(tokens) != 1:
+                raise FormatError(f"{where}: expected one name")
+            column = _column(columns, tokens[0], where)
+            column.kind = BINARY
+            if tokens[0] not in bounded:
+                column.upper = 1
+    if objective is None:
+        raise FormatError("no objective line")
     return _assemble(metadata, columns, objective, rows)
 
 
 def parse_mps(text: str) -> LinearModel:
-    """Parse free MPS text produced by export_mps (plus mild dialect slack)."""
+    """Parse free MPS text in the grammar export_mps writes; refuse any
+    other. Columns keep the model's order."""
     numbers = _Numbers()
     metadata: dict[str, str] = {}
-    section = None
-    obj_row: str | None = None
+    columns: dict[str, _Column] = {}
     objective: dict[str, Exact] = {}
-    rows: dict[str, list] = {}
-    columns = _Columns()
-    integer_mode = False
-    objsense: str | None = None
-    sense_code = {"L": "<=", "G": ">=", "E": "="}
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped[0] == "*":
-            _read_meta(stripped, "*", metadata)
-            continue
-        tokens = raw.split()
-        if not raw[0].isspace():
-            head = tokens[0].upper()
-            if head == "NAME":
-                section = "name"
-            elif head in ("OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS"):
-                section = head.lower()
-                if head == "RANGES":
-                    raise FormatError(f"line {lineno}: RANGES section not supported")
-                if head == "OBJSENSE" and len(tokens) > 1:
-                    objsense = tokens[1].upper()
-            elif head == "ENDATA":
-                break
-            else:
-                raise FormatError(f"line {lineno}: unknown section {tokens[0]!r}")
-            continue
-        if section is None:
-            raise FormatError(f"line {lineno}: data before the first section header")
-        if section == "objsense":
-            objsense = tokens[0].upper()
-        elif section == "rows":
-            if len(tokens) != 2:
-                raise FormatError(f"line {lineno}: malformed row declaration")
-            code, name = tokens[0].upper(), tokens[1]
-            if name in rows or name == obj_row:
-                raise FormatError(f"line {lineno}: duplicate row {name!r}")
-            if code == "N":
-                if obj_row is not None:
-                    raise FormatError(f"line {lineno}: second objective row")
-                obj_row = name
-            elif code not in sense_code:
-                raise FormatError(f"line {lineno}: unknown row code {code!r}")
-            else:
-                rows[name] = [{}, sense_code[code], 0]
-        elif section == "columns":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                state = tokens[-1].strip("'").upper()
-                if state not in ("INTORG", "INTEND"):
-                    raise FormatError(f"line {lineno}: unknown marker {state!r}")
-                integer_mode = state == "INTORG"
+    rows: dict[str, list] = {}  # name -> [terms, sense (None: objective), rhs]
+    integer = False
+    entries_of: str | None = None  # the column of the entry line before
+    bounds_order: Iterator[str] | None = None
+    lower_of: str | None = None  # the column of an MI or LO line just before
+    for section, where, tokens in _data_lines(text, "*", _MPS_FRAME, (), metadata):
+        if section == "ROWS":
+            if len(tokens) != 2 or tokens[0] not in _ROW_CODES:
+                raise FormatError(f"{where}: malformed row line")
+            code, name = tokens
+            if name in rows:
+                raise FormatError(f"{where}: duplicate row {name!r}")
+            if (code == "N") != (not rows):
+                raise FormatError(f"{where}: the first row, and only it, is N")
+            rows[name] = [objective if code == "N" else {}, _ROW_CODES[code], None]
+        elif section == "COLUMNS":
+            if len(tokens) != 3:
+                raise FormatError(f"{where}: malformed column entry")
+            name, row, value = tokens
+            if row == "'MARKER'":
+                if value not in ("'INTORG'", "'INTEND'"):
+                    raise FormatError(f"{where}: unknown marker {value!r}")
+                integer, entries_of = value == "'INTORG'", None
                 continue
-            if len(tokens) not in (3, 5):
-                raise FormatError(f"line {lineno}: malformed column entry")
-            var = tokens[0]
-            column = columns[var]
-            if integer_mode:
-                column.kind = _INTORG
-            for pos in range(1, len(tokens), 2):
-                row, value = tokens[pos], numbers.parse(
-                    tokens[pos + 1], f"line {lineno}"
-                )
-                if row == obj_row:
-                    terms = objective
-                elif row in rows:
-                    terms = rows[row][0]
-                else:
-                    raise FormatError(f"line {lineno}: unknown row {row!r}")
-                if value != 0:
-                    terms[var] = terms.get(var, 0) + value
-        elif section == "rhs":
-            pairs = tokens[1:] if len(tokens) % 2 == 1 else tokens
-            for pos in range(0, len(pairs), 2):
-                row, value = pairs[pos], numbers.parse(
-                    pairs[pos + 1], f"line {lineno}"
-                )
-                if row == obj_row:
-                    raise FormatError(f"line {lineno}: objective rhs not supported")
-                if row not in rows:
-                    raise FormatError(f"line {lineno}: unknown row {row!r}")
-                rows[row][2] = value
-        elif section == "bounds":
-            code = tokens[0].upper()
-            if len(tokens) < 3:
-                raise FormatError(f"line {lineno}: malformed bound")
-            column = columns[tokens[2]]
-            value = (
-                numbers.parse(tokens[3], f"line {lineno}")
-                if len(tokens) > 3
-                else None
-            )
-            if code in ("UP", "UI"):
-                column.upper = value
-            elif code in ("LO", "LI"):
-                column.lower = value
-            elif code == "FX":
-                column.lower = column.upper = value
-            elif code == "FR":
-                column.lower = column.upper = None
-            elif code == "MI":
-                column.lower = None
-            elif code == "PL":
-                column.upper = None
-            elif code == "BV":
-                column.lower, column.upper = 0, 1
+            if name != entries_of:
+                if name in columns:
+                    raise FormatError(f"{where}: entries of {name!r} are apart")
+                _column(columns, name, where).kind = BINARY if integer else CONTINUOUS
+                entries_of = name
+            if row not in rows:
+                raise FormatError(f"{where}: unknown row {row!r}")
+            terms = rows[row][0]
+            if name in terms:
+                raise FormatError(f"{where}: second entry for {name!r} in {row!r}")
+            terms[name] = numbers.parse(value, where)
+        elif section == "RHS":
+            if len(tokens) != 3 or tokens[0] != "RHS":
+                raise FormatError(f"{where}: malformed RHS line")
+            entry = rows.get(tokens[1])
+            if entry is None or entry[1] is None:
+                raise FormatError(f"{where}: no constraint row {tokens[1]!r}")
+            if entry[2] is not None:
+                raise FormatError(f"{where}: second RHS line for {tokens[1]!r}")
+            entry[2] = numbers.parse(tokens[2], where)
+        elif section == "BOUNDS":
+            if len(tokens) != _BOUND_TOKENS.get(tokens[0]) or tokens[1] != "BND":
+                raise FormatError(f"{where}: malformed bound line")
+            code, _, name = tokens[:3]
+            bounds_order = bounds_order or iter(columns)
+            if code == "UP" and name == lower_of:  # right after the column's MI or LO
+                columns[name].upper = numbers.parse(tokens[3], where)
+                lower_of = None
+            elif code != "UP" and name == next(bounds_order, None):
+                value = numbers.parse(tokens[3], where) if code == "LO" else None
+                columns[name].lower = value
+                lower_of = None if code == "FR" else name
             else:
-                raise FormatError(f"line {lineno}: unknown bound code {code!r}")
-            if code in ("BV", "UI", "LI"):
-                column.kind = _INTORG
-            column.bounded = True
-        elif section == "name":
-            raise FormatError(f"line {lineno}: stray content after NAME")
-
-    if objsense not in ("MAX", "MAXIMIZE"):
-        raise FormatError("missing or non-MAX OBJSENSE (only maximization supported)")
-    if obj_row is None:
-        raise FormatError("no objective row declared")
-    return _assemble(metadata, columns, objective, rows)
+                raise FormatError(f"{where}: bound line for {name!r} out of order")
+        else:
+            raise FormatError(f"{where}: unexpected line under {section.strip()!r}")
+    missing = next(bounds_order or iter(columns), None)
+    if missing is not None:
+        raise FormatError(f"no bound line for {missing!r}")
+    # A row that no RHS line names keeps None, which the model refuses.
+    return _assemble(metadata, columns, objective, list(rows.items())[1:])
 
 
 def parse_solution_file(model: LinearModel, text: str) -> dict[str, Exact]:

@@ -1,4 +1,4 @@
-"""Tests for LP/MPS export, the companion parsers, and solution files."""
+"""Tests for LP/MPS export, the readers of its grammar, and solution files."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclique.driver import build_problem_model
+from qclique.formulations import Connectivity, ProblemSpec
 from qclique.lpio import (
     FormatError,
     export_lp,
@@ -19,6 +21,8 @@ from qclique.lpio import (
     sanitize_name,
 )
 from qclique.milp import BINARY, CONTINUOUS, LinearModel
+
+from conftest import make_two_k4s
 
 
 def pair_selection_model() -> LinearModel:
@@ -206,6 +210,54 @@ class TestExportRefusals:
             export(model)
 
 
+class TestNamesAndMetadata:
+    """The writers refuse what their readers would read back as something
+    else."""
+
+    @pytest.mark.parametrize("export", [export_lp, export_mps])
+    @pytest.mark.parametrize("name", ["Maximize", "Bounds", "Binaries"])
+    def test_lp_heading_name_is_refused(self, export, name):
+        """As "obj" is. ("End" is written as "v_End" or "c_End".)"""
+        m = LinearModel()
+        m.add_variable(name, BINARY)
+        m.set_objective({name: 1})
+        with pytest.raises(FormatError, match=f"variable name collision at '{name}'"):
+            export(m)
+        m = pair_selection_model()
+        m.add_constraint({"x_0": 1}, "<=", 1, name)
+        with pytest.raises(FormatError, match=f"row name collision at '{name}'"):
+            export(m)
+
+    @pytest.mark.parametrize(
+        "name", ["bin", "max", "st", "s.t.", "MAX", "bounds", "Generals", "end", "free"]
+    )
+    def test_heading_like_binary_reads_back_binary(self, name):
+        m = LinearModel()
+        m.add_variable("f", CONTINUOUS, 0, 2)
+        m.add_variable(name, BINARY)
+        m.add_constraint({name: 1, "f": 1}, "<=", 2, "c")
+        m.set_objective({name: 1})
+        for export, parse, order in FORMATS:
+            assert_equivalent(m, parse(export(m)), order(m))
+
+    @pytest.mark.parametrize("export", [export_lp, export_mps])
+    @pytest.mark.parametrize(
+        "value", ["a\rb", "a\u2028b", "a\x85b", "a\nb", "tail ", "tail\t", " "]
+    )
+    def test_metadata_value_that_would_not_read_back_is_refused(self, export, value):
+        m = pair_selection_model()
+        m.metadata["note"] = value
+        with pytest.raises(FormatError, match="value for 'note' would not read back"):
+            export(m)
+
+    @pytest.mark.parametrize("value", ["", " lead", "a = b", "x\\y", "\u00fcn\u00efcode"])
+    def test_metadata_value_reads_back(self, value):
+        m = pair_selection_model()
+        m.metadata["note"] = value
+        for export, parse, _ in FORMATS:
+            assert parse(export(m)).metadata == m.metadata
+
+
 class TestExportMps:
     def test_canonical_text(self):
         m = LinearModel(metadata={"case": "tiny"})
@@ -248,12 +300,6 @@ class TestExportMps:
         assert export_mps(parse_mps(text)) == text
 
 
-def variable_signature(model: LinearModel, rename) -> dict:
-    return {
-        rename(v.name): (v.kind, v.lower, v.upper) for v in model.variables
-    }
-
-
 def name_maps(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
     """The names export_lp and export_mps write for each variable and row."""
     return (
@@ -262,11 +308,35 @@ def name_maps(model: LinearModel) -> tuple[dict[str, str], dict[str, str]]:
     )
 
 
-def assert_equivalent(original: LinearModel, parsed: LinearModel):
+def lp_column_order(model: LinearModel) -> list[str]:
+    """The variables in order of first use in the model's LP text: the
+    objective, the rows, then Bounds and Binaries, which keep model order."""
+    used = [*model.objective, *(name for row in model.constraints for name in row.terms)]
+    used += [
+        v.name
+        for v in model.variables
+        if not (v.kind == BINARY and (v.lower, v.upper) == (0, 1))
+    ]
+    used += [v.name for v in model.variables if v.kind == BINARY]
+    return list(dict.fromkeys(used))
+
+
+def model_order(model: LinearModel) -> list[str]:
+    return [v.name for v in model.variables]
+
+
+FORMATS = [(export_lp, parse_lp, lp_column_order), (export_mps, parse_mps, model_order)]
+
+
+def assert_equivalent(original: LinearModel, parsed: LinearModel, order: list[str]):
+    """parsed is original read back, with its variables in the given order
+    of original's names."""
     vmap, row_names = name_maps(original)
-    assert variable_signature(original, lambda n: vmap[n]) == variable_signature(
-        parsed, lambda n: n
-    )
+    variables = {v.name: v for v in original.variables}
+    assert [(v.name, v.kind, v.lower, v.upper) for v in parsed.variables] == [
+        (vmap[n], variables[n].kind, variables[n].lower, variables[n].upper)
+        for n in order
+    ]
     assert len(original.constraints) == len(parsed.constraints)
     for row_a, row_b in zip(original.constraints, parsed.constraints):
         assert row_names[row_a.tag] == row_b.tag
@@ -343,15 +413,35 @@ def models(draw, isolated=False):
 
 
 class TestRoundTrip:
-    @given(models())
+    @given(models(isolated=True))
     @settings(max_examples=60, deadline=None)
     def test_lp_structural(self, model):
-        assert_equivalent(model, parse_lp(export_lp(model)))
+        assert_equivalent(model, parse_lp(export_lp(model)), lp_column_order(model))
 
-    @given(models())
+    @given(models(isolated=True))
     @settings(max_examples=60, deadline=None)
     def test_mps_structural(self, model):
-        assert_equivalent(model, parse_mps(export_mps(model)))
+        assert_equivalent(model, parse_mps(export_mps(model)), model_order(model))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProblemSpec.mqc(Fraction(1, 2), mode=Connectivity.NONE),
+            ProblemSpec.mqc(Fraction(3, 4), mode=Connectivity.MPR),
+            ProblemSpec.mqc(Fraction(1, 3), mode=Connectivity.CSTREE),
+            ProblemSpec.dks(4, mode=Connectivity.NONE),
+            ProblemSpec.dks(4, mode=Connectivity.CSTREE),
+            ProblemSpec.dks(5, mode=Connectivity.CFLOW),
+        ],
+        ids=lambda spec: f"{spec.problem.value}-{spec.mode.value}",
+    )
+    def test_built_models_keep_column_order(self, spec):
+        """MPS keeps the built order; LP gives first use, which puts the
+        objective's edge columns before the vertex ones."""
+        model, _ = build_problem_model(make_two_k4s(), spec)
+        for export, parse, order in FORMATS:
+            assert_equivalent(model, parse(export(model)), order(model))
+        assert lp_column_order(model) != model_order(model)
 
     @given(models(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -376,8 +466,8 @@ class TestRoundTrip:
 
     def test_pair_model_round_trips_both_formats(self):
         model = pair_selection_model()
-        for export, parser in ((export_lp, parse_lp), (export_mps, parse_mps)):
-            assert_equivalent(model, parser(export(model)))
+        for export, parse, order in FORMATS:
+            assert_equivalent(model, parse(export(model)), order(model))
 
 
 class TestMpsColumns:
@@ -440,77 +530,138 @@ def reference_mps(model: LinearModel) -> str:
 
 class TestParseLpDialect:
     def test_section_spellings_and_implicit_coefficients(self):
-        text = (
-            "MAX\n"
-            " obj: x + 2 y\n"
-            "s.t.\n"
-            " c1: x + y < 3\n"
-            " x - y > -1\n"
-            "BOUNDS\n"
-            " y <= 2\n"
-            "bin\n"
-            " x\n"
-            "End\n"
-        )
-        model = parse_lp(text)
-        x, y = model.variables
-        assert x.kind == BINARY
-        assert y.upper == 2
-        assert model.constraints[0].sense == "<="
-        assert model.constraints[0].terms == {"x": 1, "y": 1}
-        assert model.constraints[1].tag == "r1"
-        assert model.constraints[1].terms == {"x": 1, "y": -1}
-        assert model.constraints[1].rhs == -1
+        """Only the writer's headings, "+|- number name" terms, named rows
+        and the senses <=, >= and = are read; any other spelling is
+        refused."""
+        text = lp_model_text(" c1: + 1 x + 1 y <= 3", " 0 <= y <= 2", " x")
+        assert [v.name for v in parse_lp(text).variables] == ["x", "y"]
+        for written, other in [
+            ("Maximize", "MAX"),
+            ("Maximize", "maximize"),
+            ("Subject To", "s.t."),
+            ("Bounds", "BOUNDS"),
+            ("Binaries", "bin"),
+            ("obj: + 1 x", "obj: x"),
+            ("+ 1 x + 1 y", "x + y"),
+            ("+ 1 y <=", "+ 1 y <"),
+            (" c1: ", " "),
+        ]:
+            with pytest.raises(FormatError):
+                parse_lp(text.replace(written, other, 1))
 
-    def test_unnamed_row_avoids_given_names(self):
-        model = parse_lp(lp_model_text(" x <= 1\n r0: x <= 2\n x <= 3\n r2_: x <= 4"))
-        assert [c.tag for c in model.constraints] == ["r0_", "r0", "r2", "r2_"]
-        assert [c.rhs for c in model.constraints] == [1, 2, 3, 4]
-        model = parse_lp(lp_model_text(" x <= 1\n r0: x <= 2\n r0_: x <= 3"))
-        assert [c.tag for c in model.constraints] == ["r0__", "r0", "r0_"]
+    def test_unnamed_row_refused(self):
+        with pytest.raises(FormatError, match="line 4: expected 'name: terms sense rhs'"):
+            parse_lp(lp_model_text(" + 1 x <= 1"))
 
     def test_minimize_rejected(self):
-        with pytest.raises(FormatError, match="maximization"):
-            parse_lp("Minimize\n obj: x\nSubject To\nEnd\n")
+        with pytest.raises(FormatError, match="line 1: unexpected line 'Minimize'"):
+            parse_lp("Minimize\n obj: + 1 x\nSubject To\nEnd\n")
 
     def test_general_integers_rejected(self):
-        text = "Maximize\n obj: x\nSubject To\nGenerals\n x\nEnd\n"
-        with pytest.raises(FormatError, match="general integer"):
+        text = "Maximize\n obj: + 1 x\nSubject To\nGenerals\n x\nEnd\n"
+        with pytest.raises(FormatError, match="line 4: unexpected line 'Generals'"):
             parse_lp(text)
 
     def test_content_before_sections_rejected(self):
-        with pytest.raises(FormatError, match="before"):
-            parse_lp("x + y\nMaximize\nEnd\n")
+        with pytest.raises(FormatError, match="line 1: unexpected line"):
+            parse_lp(" obj: + 1 x\nMaximize\n obj: + 1 x\nSubject To\nEnd\n")
 
     def test_row_missing_rhs_rejected(self):
-        with pytest.raises(FormatError, match="sense or right-hand"):
-            parse_lp("Maximize\n obj: x\nSubject To\n c: x <=\nEnd\n")
+        with pytest.raises(FormatError, match="line 4: expected 'name: terms sense rhs'"):
+            parse_lp("Maximize\n obj: + 1 x\nSubject To\n c: + 1 x <=\nEnd\n")
 
+    @pytest.mark.parametrize(
+        "bound",
+        [" +inf <= x <= 5", " inf <= x <= 5", " x <= -inf", " x >= -inf", " -inf <= x <= inf"],
+    )
+    def test_infinite_bound_other_than_lower_minus_inf_refused(self, bound):
+        """-inf is read only as a lower bound; +inf or inf is no bound."""
+        with pytest.raises(FormatError):
+            parse_lp(lp_model_text(" c: + 1 x <= 1", bound))
+
+    # The ids name each case in shorthand: objective-row-bounds-check.
     @pytest.mark.parametrize(
         "objective, rows, bounds, message",
         [
-            ("x", " c: x <= 1/0", "", "row c rhs: cannot parse number '1/0'"),
-            ("x", " c: x <= abc", "", "row c rhs: cannot parse number 'abc'"),
-            ("x + 3", " c: x <= 1", "", "objective: trailing number"),
-            ("x", " c: x + 3 <= 1", "", "row c: trailing number"),
-            ("3 3 x", " c: x <= 1", "", "two consecutive numbers near '3'"),
-            ("x", " c: x <= 1", " x <= 1/0\n", "bounds: cannot parse number '1/0'"),
-            ("x", " c: x <= 1", " x <= abc\n", "bounds: cannot parse number 'abc'"),
+            pytest.param(
+                "+ 1 x", " c: + 1 x <= 1/0", "", "row c rhs: cannot parse number '1/0'",
+                id="x- c: x <= 1/0--row c rhs: cannot parse number '1/0'",
+            ),
+            pytest.param(
+                "+ 1 x", " c: + 1 x <= abc", "", "row c rhs: cannot parse number 'abc'",
+                id="x- c: x <= abc--row c rhs: cannot parse number 'abc'",
+            ),
+            pytest.param(
+                "+ 1 x + 3", " c: + 1 x <= 1", "", "objective: terms are not sign, number",
+                id="x + 3- c: x <= 1--objective: trailing number",
+            ),
+            pytest.param(
+                "+ 1 x", " c: + 1 x + 3 <= 1", "", "row c: terms are not sign, number",
+                id="x- c: x + 3 <= 1--row c: trailing number",
+            ),
+            pytest.param(
+                "+ 3 3 x", " c: + 1 x <= 1", "", "objective: terms are not sign, number",
+                id="3 3 x- c: x <= 1--two consecutive numbers near '3'",
+            ),
+            pytest.param(
+                "+ 1 x", " c: + 1 x <= 1", " 0 <= x <= 1/0\n",
+                "bounds: cannot parse number '1/0'",
+                id="x- c: x <= 1- x <= 1/0\n-bounds: cannot parse number '1/0'",
+            ),
+            pytest.param(
+                "+ 1 x", " c: + 1 x <= 1", " 0 <= x <= abc\n",
+                "bounds: cannot parse number 'abc'",
+                id="x- c: x <= 1- x <= abc\n-bounds: cannot parse number 'abc'",
+            ),
             # The same bad token twice: the second use must fail as well,
             # also after the token was first read as a variable name.
-            ("x", " c1: x <= abc\n c2: x <= abc", "", "row c1 rhs"),
-            ("x", " c1: abc <= 1\n c2: x <= abc", "", "row c2 rhs: .*'abc'"),
-            ("x", " c1: 1/0 <= 1\n c2: x <= 1/0", "", "row c1: .*'1/0'"),
-            ("x + 3", " c: x + 3 <= 1", "", "objective: trailing number"),
-            ("x", " c: x <= 1", " x <= abc\n y <= abc\n", "bounds: .*'abc'"),
-            # A malformed number before a name is no variable name, and two
-            # terms need a sign between them.
-            ("1/0 x", " c: x <= 1", "", "objective: cannot parse number '1/0'"),
-            (".5x + y", " c: x <= 1", "", "objective: cannot parse number '.5x'"),
-            ("2e x", " c: x <= 1", "", "objective: cannot parse number '2e'"),
-            ("abc x", " c: x <= 1", "", "objective: missing \\+ or - before 'x'"),
-            ("x", " c: x 3 y <= 1", "", "row c: missing \\+ or - before '3'"),
-            ("x", " c: 1/0 x <= 1", "", "row c: cannot parse number '1/0'"),
+            pytest.param(
+                "+ 1 x", " c1: + 1 x <= abc\n c2: + 1 x <= abc", "", "row c1 rhs",
+                id="x- c1: x <= abc\n c2: x <= abc--row c1 rhs",
+            ),
+            pytest.param(
+                "+ 1 x", " c1: + 1 abc <= 1\n c2: + 1 x <= abc", "", "row c2 rhs: .*'abc'",
+                id="x- c1: abc <= 1\n c2: x <= abc--row c2 rhs: .*'abc'",
+            ),
+            pytest.param(
+                "+ 1 x", " c1: + 1 1/0 <= 1\n c2: + 1 x <= 1/0", "", "row c1: .*'1/0'",
+                id="x- c1: 1/0 <= 1\n c2: x <= 1/0--row c1: .*'1/0'",
+            ),
+            pytest.param(
+                "+ 1 x + 3", " c: + 1 x + 3 <= 1", "", "objective: terms are not sign",
+                id="x + 3- c: x + 3 <= 1--objective: trailing number",
+            ),
+            pytest.param(
+                "+ 1 x", " c: + 1 x <= 1", " 0 <= x <= abc\n 0 <= y <= abc\n",
+                "bounds: .*'abc'",
+                id="x- c: x <= 1- x <= abc\n y <= abc\n-bounds: .*'abc'",
+            ),
+            # A malformed number before a name is no variable name, and
+            # each term needs its sign.
+            pytest.param(
+                "+ 1/0 x", " c: + 1 x <= 1", "", "objective: cannot parse number '1/0'",
+                id="1/0 x- c: x <= 1--objective: cannot parse number '1/0'",
+            ),
+            pytest.param(
+                "+ .5x y", " c: + 1 x <= 1", "", "objective: cannot parse number '.5x'",
+                id=".5x + y- c: x <= 1--objective: cannot parse number '.5x'",
+            ),
+            pytest.param(
+                "+ 2e x", " c: + 1 x <= 1", "", "objective: cannot parse number '2e'",
+                id="2e x- c: x <= 1--objective: cannot parse number '2e'",
+            ),
+            pytest.param(
+                "+ 1 abc x 1 y", " c: + 1 x <= 1", "", "objective: missing \\+ or - before 'x'",
+                id="abc x- c: x <= 1--objective: missing \\+ or - before 'x'",
+            ),
+            pytest.param(
+                "+ 1 x", " c: + 1 x 3 1 y <= 1", "", "row c: missing \\+ or - before '3'",
+                id="x- c: x 3 y <= 1--row c: missing \\+ or - before '3'",
+            ),
+            pytest.param(
+                "+ 1 x", " c: + 1/0 x <= 1", "", "row c: cannot parse number '1/0'",
+                id="x- c: 1/0 x <= 1--row c: cannot parse number '1/0'",
+            ),
         ],
     )
     def test_bad_numbers_rejected(self, objective, rows, bounds, message):
@@ -521,41 +672,25 @@ class TestParseLpDialect:
             parse_lp(text + "End\n")
 
     def test_number_is_no_variable_name(self):
-        text = "Maximize\n obj: x\nSubject To\n c: x <= 3\nBinaries\n 3\nEnd\n"
-        with pytest.raises(FormatError, match="invalid variable name '3'"):
+        text = "Maximize\n obj: + 1 x\nSubject To\n c: + 1 x <= 3\nBinaries\n 3\nEnd\n"
+        with pytest.raises(FormatError, match="line 6: invalid variable name '3'"):
             parse_lp(text)
 
 
 class TestParseMpsDialect:
     def test_missing_objsense_rejected(self):
-        text = "NAME m\nROWS\n N obj\nCOLUMNS\n    x  obj  1\nENDATA\n"
-        with pytest.raises(FormatError, match="OBJSENSE"):
+        text = mps_model_text(" L c", "    x  c  1").replace("OBJSENSE\n    MAX\n", "")
+        with pytest.raises(FormatError, match="line 2: expected 'OBJSENSE', not 'ROWS'"):
             parse_mps(text)
 
     def test_ranges_rejected(self):
-        text = (
-            "NAME m\nOBJSENSE\n    MAX\nROWS\n N obj\nRANGES\nENDATA\n"
-        )
-        with pytest.raises(FormatError, match="RANGES"):
+        text = mps_model_text(" L c", "    x  c  1").replace("BOUNDS", "RANGES")
+        with pytest.raises(FormatError, match="unexpected line 'RANGES'"):
             parse_mps(text)
 
     def test_general_integer_bounds_rejected(self):
-        text = (
-            "NAME m\n"
-            "OBJSENSE\n"
-            "    MAX\n"
-            "ROWS\n"
-            " N obj\n"
-            "COLUMNS\n"
-            "    MARKER0  'MARKER'  'INTORG'\n"
-            "    x  obj  1\n"
-            "    MARKER1  'MARKER'  'INTEND'\n"
-            "BOUNDS\n"
-            " LO BND x 0\n"
-            " UP BND x 9\n"
-            "ENDATA\n"
-        )
-        with pytest.raises(FormatError, match="general integers not supported"):
+        text = mps_model_text(" L c", INTORG_X, " LO BND x 0\n UP BND x 9")
+        with pytest.raises(FormatError, match="binary x bounds \\[0, 9\\] outside"):
             parse_mps(text)
 
     @pytest.mark.parametrize(
@@ -567,37 +702,38 @@ class TestParseMpsDialect:
             ("    x  c  1", "    RHS  c  1/0", "line 10: cannot parse number '1/0'"),
             ("    x  c  1", "    RHS  c  abc", "line 10: cannot parse number 'abc'"),
             ("    x  obj  abc\n    y  obj  abc", "    RHS  c  1", "line 8: .*'abc'"),
-            ("    x  c  1", "    RHS  c  1/0  c  1/0", "line 10: .*'1/0'"),
-            ("    1/0  c  1", "    RHS  c  1/0", "line 10: .*'1/0'"),
+            pytest.param(
+                "    x  c  1", "    RHS  c  1/0\n    RHS  c  1/0", "line 10: .*'1/0'",
+                id="    x  c  1-    RHS  c  1/0  c  1/0-line 10: .*'1/0'",
+            ),
+            # A malformed number is no column name.
+            pytest.param(
+                "    1/0  c  1", "    RHS  c  1/0", "line 8: invalid variable name '1/0'",
+                id="    1/0  c  1-    RHS  c  1/0-line 10: .*'1/0'",
+            ),
         ],
     )
     def test_bad_numbers_rejected(self, columns, rhs, message):
-        text = (
-            "NAME m\nOBJSENSE\n    MAX\nROWS\n N obj\n L c\n"
-            f"COLUMNS\n{columns}\nRHS\n{rhs}\nENDATA\n"
-        )
+        text = mps_model_text(" L c", columns, rhs=rhs)
         with pytest.raises(FormatError, match=message):
             parse_mps(text)
 
-    def test_bv_bound_makes_binary(self):
-        text = (
-            "NAME m\n"
-            "OBJSENSE\n"
-            "    MAX\n"
-            "ROWS\n"
-            " N obj\n"
-            "COLUMNS\n"
-            "    x  obj  1\n"
-            "BOUNDS\n"
-            " BV BND x\n"
-            "ENDATA\n"
-        )
-        (x,) = parse_mps(text).variables
-        assert x.kind == BINARY
+    @pytest.mark.parametrize("code", ["BV", "UI", "LI", "PL", "FX"])
+    def test_bv_bound_refused(self, code):
+        """Only the FR, MI, LO and UP bounds the writer writes are read."""
+        with pytest.raises(FormatError, match="line 12: malformed bound line"):
+            parse_mps(mps_model_text(" L c", "    x  c  1", f" {code} BND x 1"))
+
+    @pytest.mark.parametrize("code", ["UP", "LO", "FX"])
+    def test_bound_without_value_refused(self, code):
+        """A bound line that needs a value and has none is no infinite bound."""
+        bounds = f" LO BND x 0\n {code} BND x"
+        with pytest.raises(FormatError, match="line 13: malformed bound line"):
+            parse_mps(mps_model_text(" L c", "    x  c  1", bounds))
 
 
 def lp_model_text(rows: str, bounds: str = "", binaries: str = "") -> str:
-    text = f"Maximize\n obj: x\nSubject To\n{rows}\n"
+    text = f"Maximize\n obj: + 1 x\nSubject To\n{rows}\n"
     if bounds:
         text += f"Bounds\n{bounds}\n"
     if binaries:
@@ -605,10 +741,12 @@ def lp_model_text(rows: str, bounds: str = "", binaries: str = "") -> str:
     return text + "End\n"
 
 
-def mps_model_text(rows: str, columns: str, bounds: str = "") -> str:
+def mps_model_text(
+    rows: str, columns: str, bounds: str = " LO BND x 0", rhs: str = "    RHS  c  1"
+) -> str:
     return (
-        "NAME m\nOBJSENSE\n    MAX\nROWS\n N obj\n"
-        f"{rows}\nCOLUMNS\n{columns}\nBOUNDS\n{bounds}\nENDATA\n"
+        "NAME model\nOBJSENSE\n    MAX\nROWS\n N obj\n"
+        f"{rows}\nCOLUMNS\n{columns}\nRHS\n{rhs}\nBOUNDS\n{bounds}\nENDATA\n"
     )
 
 
@@ -624,8 +762,8 @@ class TestReaderContract:
         [
             pytest.param(
                 parse_lp,
-                lp_model_text(" c: x <= 1\n c: x <= 2"),
-                "duplicate row 'c'",
+                lp_model_text(" c: + 1 x <= 1\n c: + 1 x <= 2"),
+                "duplicate constraint tag 'c'",
                 id="lp-duplicate-row",
             ),
             pytest.param(
@@ -637,7 +775,7 @@ class TestReaderContract:
             pytest.param(
                 parse_mps,
                 " x obj 1\n" + mps_model_text(" L c", "    x  c  1"),
-                "line 1: data before the first section header",
+                "line 1: unexpected line ' x obj 1'",
                 id="mps-data-before-header",
             ),
             pytest.param(
@@ -648,14 +786,13 @@ class TestReaderContract:
             ),
             pytest.param(
                 parse_mps,
-                "NAME m\nOBJSENSE\n    MAX\nROWS\n L obj\n N obj\n"
-                "COLUMNS\n    x  obj  1\nENDATA\n",
-                "line 6: duplicate row 'obj'",
+                mps_model_text(" L c\n N c", "    x  c  1"),
+                "line 7: duplicate row 'c'",
                 id="mps-objective-named-like-row",
             ),
             pytest.param(
                 parse_lp,
-                lp_model_text(" c: x <= 1", " 3 <= x <= 2"),
+                lp_model_text(" c: + 1 x <= 1", " 3 <= x <= 2"),
                 "x bounds cross",
                 id="lp-crossing-bounds",
             ),
@@ -667,34 +804,34 @@ class TestReaderContract:
             ),
             pytest.param(
                 parse_lp,
-                lp_model_text(" c: x <= 1", " 0 <= x <= 2", " x"),
+                lp_model_text(" c: + 1 x <= 1", " 0 <= x <= 2", " x"),
                 "binary x bounds \\[0, 2\\] outside \\[0, 1\\]",
                 id="lp-binary-above-one",
             ),
             pytest.param(
                 parse_lp,
-                lp_model_text(" c: x <= 1", " x >= -1", " x"),
+                lp_model_text(" c: + 1 x <= 1", " -1 <= x <= 1", " x"),
                 "binary x bounds \\[-1, 1\\] outside \\[0, 1\\]",
                 id="lp-binary-below-zero",
             ),
             pytest.param(
                 parse_mps,
                 mps_model_text(" L c", INTORG_X, " LO BND x -1\n UP BND x 1"),
-                "'x' with bounds outside \\[0, 1\\]",
+                "binary x bounds \\[-1, 1\\] outside \\[0, 1\\]",
                 id="mps-intorg-below-zero",
             ),
             pytest.param(
                 parse_mps,
                 mps_model_text(" L c", INTORG_X, " FR BND x"),
-                "'x' with bounds outside \\[0, 1\\]",
+                "binary x has an infinite bound",
                 id="mps-intorg-free",
             ),
-            # A BV bound sets [0, 1]; a later bound line that frees a side
-            # leaves an integer column without finite bounds.
+            # An UP bound after MI leaves a binary column without a finite
+            # lower bound.
             pytest.param(
                 parse_mps,
-                mps_model_text(" L c", "    x  c  1", " BV BND x\n MI BND x"),
-                "'x' with bounds outside \\[0, 1\\]",
+                mps_model_text(" L c", INTORG_X, " MI BND x\n UP BND x 1"),
+                "binary x has an infinite bound",
                 id="mps-bv-then-free",
             ),
         ],
@@ -703,10 +840,183 @@ class TestReaderContract:
         with pytest.raises(FormatError, match=message):
             parse(text)
 
-    def test_lp_binary_declared_free_reads_unit_bounds(self):
-        model = parse_lp(lp_model_text(" c: x <= 1", " x free", " x"))
-        (x,) = model.variables
-        assert (x.kind, x.lower, x.upper) == (BINARY, 0, 1)
+    @pytest.mark.parametrize(
+        "bounds",
+        [" x free", " -inf <= x <= 1", " x >= 0"],
+        ids=["free", "minus-inf-lower", "lower-only"],
+    )
+    def test_lp_binary_declared_free_refused(self, bounds):
+        """A Binaries entry whose bound line leaves a side infinite is no
+        binary in [0, 1]."""
+        with pytest.raises(FormatError, match="binary x has an infinite bound"):
+            parse_lp(lp_model_text(" c: + 1 x <= 1", bounds, " x"))
+
+
+class TestGrammarRefusals:
+    """Text the writers never write is refused, so no repeated, missing or
+    misplaced line is read as something it does not say."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x + 1 x <= 1"),
+                "row c: 'x' appears twice",
+                id="lp-term-twice",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1").replace(" obj: + 1 x", " obj: + 1 x\n obj: + 2 x"),
+                "line 3: expected the one 'obj:' line",
+                id="lp-second-objective",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1").replace(" obj: + 1 x\n", ""),
+                "no objective line",
+                id="lp-no-objective",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1", " x >= 1\n x >= 2"),
+                "line 7: second bound line for 'x'",
+                id="lp-second-bound-line",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1", binaries=" x").replace("Binaries", "Bounds", 1)
+                .replace("Subject To", "Binaries"),
+                "line 3: expected 'Subject To', not 'Binaries'",
+                id="lp-headings-out-of-order",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1") + " c2: + 1 x <= 1\n",
+                "line 6: unexpected line",
+                id="lp-data-after-end",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1")[: -len("End\n")],
+                "no 'End' line",
+                id="lp-no-end",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1\n\n c2: + 1 x <= 1"),
+                "line 5: unexpected line ''",
+                id="lp-blank-line",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 1 x <= 1", binaries=" x y"),
+                "line 6: expected one name",
+                id="lp-two-binaries-a-line",
+            ),
+            pytest.param(
+                parse_lp,
+                lp_model_text(" c: + 0 q <= 1"),
+                "unknown variable 'q'",
+                id="lp-zero-term-of-no-column",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" N c", "    x  c  1"),
+                "line 6: the first row, and only it, is N",
+                id="mps-second-n-row",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1\n    y  c  1\n    x  obj  1"),
+                "line 10: entries of 'x' are apart",
+                id="mps-column-entries-apart",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(
+                    " L c", "    x  c  1\n    M0  'MARKER'  'INTORG'\n    x  obj  1"
+                ),
+                "line 10: entries of 'x' are apart",
+                id="mps-column-across-marker",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1\n    x  c  2"),
+                "line 9: second entry for 'x' in 'c'",
+                id="mps-second-entry",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  d  1"),
+                "line 8: unknown row 'd'",
+                id="mps-unknown-row",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1", rhs="    RHS  obj  1"),
+                "line 10: no constraint row 'obj'",
+                id="mps-rhs-of-objective",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1", rhs="    RHS  c  1\n    RHS  c  2"),
+                "line 11: second RHS line for 'c'",
+                id="mps-second-rhs",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1").replace("    RHS  c  1\n", ""),
+                "rhs of c must be rational",
+                id="mps-row-without-rhs",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1\n    y  c  1", " LO BND y 0\n LO BND x 0"),
+                "line 13: bound line for 'y' out of order",
+                id="mps-bounds-out-of-column-order",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1", " LO BND x 0\n LO BND z 0"),
+                "line 13: bound line for 'z' out of order",
+                id="mps-bound-of-no-column",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1\n    y  c  1"),
+                "no bound line for 'y'",
+                id="mps-missing-bound-line",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1", " FR BND x\n UP BND x 1"),
+                "line 13: bound line for 'x' out of order",
+                id="mps-up-after-fr",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1", " LO BND x 0\n UP BND x 1\n UP BND x 2"),
+                "line 14: bound line for 'x' out of order",
+                id="mps-second-up",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1").replace("NAME model", "NAME other"),
+                "line 1: unexpected line 'NAME other'",
+                id="mps-other-name",
+            ),
+            pytest.param(
+                parse_mps,
+                mps_model_text(" L c", "    x  c  1").replace("    MAX", "    MIN"),
+                "line 3: unexpected line under 'OBJSENSE'",
+                id="mps-min",
+            ),
+        ],
+    )
+    def test_refused(self, parse, text, message):
+        with pytest.raises(FormatError, match=message):
+            parse(text)
 
 
 class TestParseSolutionFile:
