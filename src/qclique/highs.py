@@ -14,11 +14,16 @@ parse_lp, so only what export_mps or export_lp writes:
 
 The output file holds a "# nodes N" line (HiGHS's node count) and then one
 "name value" line per variable, or a single INFEASIBLE / TIMELIMIT marker.
+Once main() has closed it, the child ends with os._exit and skips the
+interpreter's teardown of numpy, scipy and HiGHS, which no caller reads. A
+failure still exits non-zero with a traceback; main() in process returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,4 +144,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    raise SystemExit(main())
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

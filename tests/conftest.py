@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from qclique.graphs import Graph
+
+# The bundled HiGHS child as a backend command template.
+HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -22,7 +22,7 @@ from qclique.driver import solve_problem
 from qclique.formulations import Connectivity, ProblemSpec, build_m1
 from qclique.solve import SolveStatus
 
-HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
+from conftest import HIGHS_BACKEND
 
 
 def scripted(tmp_path, body: str) -> str:

@@ -14,8 +14,9 @@ import pytest
 
 import qclique
 
+from conftest import HIGHS_BACKEND
+
 RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
-HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
 
 
 @pytest.fixture

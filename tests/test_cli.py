@@ -21,7 +21,7 @@ from qclique.graphs import Graph, serialize_edge_list
 from qclique.lpio import parse_lp, parse_mps
 from qclique.milp import BINARY
 
-HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
+from conftest import HIGHS_BACKEND
 
 TRIANGLE_MM = """%%MatrixMarket matrix coordinate pattern symmetric
 3 3 3

@@ -25,9 +25,7 @@ from qclique.graphs import Graph, induced_edge_count, is_connected
 from qclique.milp import Evaluation, LinearModel
 from qclique.solve import Limits, SolveError, SolveStatus, brute_force
 
-from conftest import graphs
-
-HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
+from conftest import HIGHS_BACKEND, graphs
 
 
 class TestBuildProblemModel:

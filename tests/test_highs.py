@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclique.backend import check_assignment
 from qclique.formulations import (
     Connectivity,
     ProblemSpec,
@@ -131,3 +134,51 @@ class TestCommandLine:
         model, _ = add_cstree(model, layout, two_k4s)
         text = self.run(tmp_path, model, "lp", timelimit=1e-9)
         assert text.split()[0] == "TIMELIMIT"
+
+
+def run_child(*args):
+    """`python -m qclique.highs` in a child process, as backends run it."""
+    return subprocess.run(
+        [sys.executable, "-m", "qclique.highs", *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestChildProcess:
+    """The child ends with os._exit once its answer file is closed; these
+    check what its parent sees of that."""
+
+    @pytest.mark.parametrize("suffix", ["lp", "mps"])
+    def test_answer_file_matches_in_process_main(self, tmp_path, two_k4s, suffix):
+        model, layout = build_m1(two_k4s, 8)
+        model, _ = add_cstree(model, layout, two_k4s)
+        model_path = tmp_path / f"model.{suffix}"
+        text = export_mps(model) if suffix == "mps" else export_lp(model)
+        model_path.write_text(text, encoding="utf-8")
+        child_path, main_path = tmp_path / "child.sol", tmp_path / "main.sol"
+
+        result = run_child(model_path, child_path)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert main([str(model_path), str(main_path)]) == 0
+        assert child_path.read_bytes() == main_path.read_bytes()
+        assignment = parse_solution_file(model, child_path.read_text(encoding="utf-8"))
+        check_assignment(model, assignment)
+        assert abs(model.evaluate(assignment, tol=TOL).objective - 10) <= TOL
+
+    def test_refused_text_fails_with_traceback(self, tmp_path):
+        model_path = tmp_path / "model.lp"
+        model_path.write_text(
+            "Maximize\n obj: + 1/0 x\nSubject To\n c: + 1 x <= 1\nEnd\n",
+            encoding="utf-8",
+        )
+        out_path = tmp_path / "answer.sol"
+        result = run_child(model_path, out_path)
+        assert result.returncode != 0
+        assert "Traceback" in result.stderr
+        assert "FormatError: objective: cannot parse number '1/0'" in result.stderr
+        assert not out_path.exists()
+
+    def test_missing_argument_exits_2(self, tmp_path):
+        result = run_child(tmp_path / "model.lp")
+        assert result.returncode == 2
+        assert "solution" in result.stderr

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +16,7 @@ from qclique.graphs import Graph, induced_edge_count, is_connected
 from qclique.lazy import solve_lazy
 from qclique.solve import Limits, SolveError, SolveStatus, brute_force
 
-from conftest import graphs
-
-HIGHS_BACKEND = f"{sys.executable} -m qclique.highs {{model}} {{solution}} {{timelimit}}"
+from conftest import HIGHS_BACKEND, graphs
 
 ENGINES = ["milp"]
 

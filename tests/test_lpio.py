@@ -704,12 +704,12 @@ class TestParseMpsDialect:
             ("    x  obj  abc\n    y  obj  abc", "    RHS  c  1", "line 8: .*'abc'"),
             pytest.param(
                 "    x  c  1", "    RHS  c  1/0\n    RHS  c  1/0", "line 10: .*'1/0'",
-                id="    x  c  1-    RHS  c  1/0  c  1/0-line 10: .*'1/0'",
+                id="rhs-bad-twice",
             ),
             # A malformed number is no column name.
             pytest.param(
                 "    1/0  c  1", "    RHS  c  1/0", "line 8: invalid variable name '1/0'",
-                id="    1/0  c  1-    RHS  c  1/0-line 10: .*'1/0'",
+                id="column-name-bad-number",
             ),
         ],
     )
